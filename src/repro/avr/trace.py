@@ -323,21 +323,15 @@ class TraceCompiler:
         if mem_base is not None:
             cache = cpu._block_cache
             group = cache.groups.get((("trace",) + mem_base, pc))
-            hit = None
             if group:
                 for block in group.values():
                     resolved = self._resolve_sites(block.trap)
-                    if resolved is None:
+                    if resolved is None or resolved[0] != block.spec_key:
                         continue
-                    key, facts = resolved
-                    if key == block.spec_key:
-                        hit = (block, facts)
-                        break
-            if hit is not None:
-                cache.hits += 1
-                self.stats.cache_hits += 1
-                block, facts = hit
-                return self._rebind(block, facts)
+                    cache.hits += 1
+                    self.stats.cache_hits += 1
+                    _, task, kinds = resolved
+                    return self._rebind(block, task, kinds)
             cache.misses += 1
         if self.store is not None:
             entry = self._from_store(pc, mem_base)
@@ -355,9 +349,9 @@ class TraceCompiler:
                 tuple(cpu._trap_ranges))
 
     def _resolve_sites(self, sites):
-        """Current ``(composite_key, facts)`` for a stored site list, or
-        None when any site can no longer be specialized the same way
-        (kind retired, task dead, region gone, owner mismatch).
+        """Current ``(composite_key, owner, kinds)`` for a stored site
+        list, or None when any site can no longer be specialized the
+        same way (kind retired, task dead, region gone, owner mismatch).
 
         The composite key appends the owner task's region epoch even
         when no chained site bakes region constants: a trace hoists
@@ -367,43 +361,29 @@ class TraceCompiler:
         deopt-then-recompile path.
         """
         if not sites:
-            return ((), None), []
-        specializer = self.specializer
-        if specializer is None:
+            return ((), None), None, ()
+        if self.specializer is None:
             return None
-        facts = []
-        keys = []
-        task = None
-        for site, target, is_call in sites:
-            fact = specializer.trace_facts(self.cpu, site, target,
-                                           is_call)
-            if fact is None:
-                return None
-            if task is None:
-                task = fact.task
-            elif fact.task is not task:
-                return None
-            facts.append(fact)
-            keys.append(fact.spec_key)
-        return (tuple(keys), facts[0].epoch), facts
+        return self.specializer.trace_key(sites)
 
-    def _bind_facts(self, ns: dict, facts) -> None:
-        """Namespace bindings for the chained sites: the shared kernel
+    def _bind(self, ns: dict, task, kinds) -> None:
+        """Namespace bindings for the chained sites: the owner's kernel
         objects plus ``kk{i}`` per distinct trap kind, in first-occurrence
         order over the chain (the emitter numbers its count locals the
         same way)."""
-        kinds: List[str] = []
-        for fact in facts:
-            ns.update(fact.bindings)
-            name = fact.kind.name
-            if name not in kinds:
-                ns[f"kk{len(kinds)}"] = fact.kind
-                kinds.append(name)
+        if task is None:
+            return
+        ns.update(self.specializer.bindings(self.cpu, task))
+        seen: List[object] = []
+        for kind in kinds:
+            if kind not in seen:
+                ns[f"kk{len(seen)}"] = kind
+                seen.append(kind)
 
-    def _rebind(self, block: _CachedBlock, facts):
+    def _rebind(self, block: _CachedBlock, task, kinds):
         ns = _base_ns(self.cpu)
         ns.update(block.tables)
-        self._bind_facts(ns, facts)
+        self._bind(ns, task, kinds)
         exec(block.code, ns)
         return (ns["_blk"], block.icount, block.cost)
 
@@ -427,7 +407,7 @@ class TraceCompiler:
             resolved = self._resolve_sites(sites)
             if resolved is None:
                 return None
-            key, facts = resolved
+            key, task, kinds = resolved
             if repr(key) != key_repr:
                 return None
             tables = _build_tables(artifact["tables"])
@@ -439,7 +419,7 @@ class TraceCompiler:
             code = compile(source, f"<trace@{pc:#06x}>", "exec")
             ns = _base_ns(self.cpu)
             ns.update(tables)
-            self._bind_facts(ns, facts)
+            self._bind(ns, task, kinds)
             exec(code, ns)
             entry = (ns["_blk"], icount, cost)
         except (KeyError, IndexError, TypeError, ValueError,
@@ -465,13 +445,14 @@ class TraceCompiler:
             return None
         nodes, tail = built
         source = _Emitter(nodes, tail).source()
-        facts = [node.facts for node in nodes if node.facts is not None]
-        key = (tuple(fact.spec_key for fact in facts),
-               facts[0].epoch if facts else None)
-        sites = tuple((fact.site, fact.target, fact.is_call)
-                      for fact in facts)
+        sites = tuple((node.facts.site, node.facts.target,
+                       node.facts.is_call)
+                      for node in nodes if node.facts is not None)
+        # The same resolution re-entry uses, so the stored key is the
+        # one a later rebind or store load composes for these sites.
+        key, task, kinds = self._resolve_sites(sites)
         code = compile(source, f"<trace@{pc:#06x}>", "exec")
-        self._bind_facts(ns, facts)
+        self._bind(ns, task, kinds)
         exec(code, ns)
         head = nodes[0]
         entry = (ns["_blk"], head.count + 1, head.cost)
@@ -589,7 +570,7 @@ class TraceCompiler:
             if self.specializer is None:
                 return None
             facts = self.specializer.trace_facts(
-                cpu, ins.address, ins.operands[0], m == "CALL")
+                ins.address, ins.operands[0], m == "CALL")
             if facts is None:
                 return None
             return self._classify_trap(node, facts)

@@ -74,11 +74,10 @@ class TraceFacts:
 
     A read-only snapshot of the specialization inputs for *site* at
     compile time: the trampoline kind and params, the owning task, its
-    region (None for region-free kinds) and region epoch, the kernel
-    config, the namespace bindings the emitted code expects, and the
-    same ``spec_key`` :meth:`TrapSpecializer.inline_source` would bake
-    — so a trace's cache key composes per-site keys identically to the
-    superblock cache's.
+    region (None for region-free kinds) and region epoch, and the kernel
+    config.  The trace's cache key comes from
+    :meth:`TrapSpecializer.trace_key`, which composes the same per-site
+    keys :meth:`TrapSpecializer.inline_source` bakes.
     """
 
     site: int
@@ -90,13 +89,43 @@ class TraceFacts:
     region: object
     epoch: int
     config: object
-    bindings: Dict[str, object]
-    spec_key: Tuple
     #: Validated elision claim for the site ("heap"/"stack"/"pop"), or
     #: None.  When set, the emitters drop the corresponding bound guard
     #: (the certificate proves the fast arm is always taken); the claim
     #: is part of ``spec_key`` so cached code never crosses settings.
     elide: Optional[str] = None
+
+
+class _SiteStatics:
+    """The facts of one patched site that hold for as long as the
+    kernel maps its target to the same trampoline: kind, params, the
+    validated elision claim, and every part of the site's ``spec_key``
+    except the owner's region constants."""
+
+    __slots__ = ("trampoline", "kind", "params", "claim", "needs_region",
+                 "_head", "_tail")
+
+    def __init__(self, trampoline, claim: Optional[str], config):
+        self.trampoline = trampoline
+        self.kind = trampoline.kind
+        self.params = trampoline.params
+        self.claim = claim
+        self.needs_region = self.kind is not PatchKind.BRANCH_BACKWARD
+        self._head = (self.kind.name, self.params)
+        self._tail = () if claim is None else (("elide", claim),)
+        if not self.needs_region:
+            # Region-free: the key is fixed for the kernel's lifetime.
+            self._head += (config.branch_trap_period,)
+
+    def spec_key(self, region_key: Optional[Tuple]) -> Optional[Tuple]:
+        """Every runtime constant the site's emitted code bakes in, given
+        the owner's region key from :meth:`TrapSpecializer._region`, or
+        None when the kind needs a region and the owner has none."""
+        if not self.needs_region:
+            return self._head
+        if region_key is None:
+            return None
+        return self._head + region_key + self._tail
 
 
 class TrapSpecializer:
@@ -113,6 +142,11 @@ class TrapSpecializer:
             PatchKind.CALL_DIRECT: self._call_direct,
             PatchKind.BRANCH_BACKWARD: self._branch_backward,
         }
+        #: site -> owning task, re-checked on every hit (see _owner).
+        self._owners: Dict[int, object] = {}
+        #: site -> _SiteStatics, trusted only while the kernel still
+        #: maps the site's target to the memoized trampoline object.
+        self._statics: Dict[int, _SiteStatics] = {}
 
     # -- entry points ------------------------------------------------------------
 
@@ -159,61 +193,26 @@ class TrapSpecializer:
         shape is determined by ``(flash, pc)``, which already keys the
         superblock cache group.
         """
-        kernel = self.kernel
-        if site < 0:
+        derived = self._derive(site, target)
+        if derived is None:
             return None
-        trampoline = kernel.trampolines.get(target)
-        if trampoline is None:
-            return None
-        gen = self._gen.get(trampoline.kind)
-        if gen is None:
-            return None
-        task = self._owner(site)
-        if task is None:
-            return None
-        needs_region = trampoline.kind is not PatchKind.BRANCH_BACKWARD
-        region = kernel.regions.maybe_by_task(task.task_id)
-        if needs_region and region is None:
-            return None
+        statics, task, region, spec_key = derived
         slow = f"k_slow(cpu, {site}, {target}, {is_call})"
-        bindings = {
-            "k_kernel": kernel,
-            "k_task": task,
-            "k_counts": kernel.stats.trap_counts,
-            "k_kind": trampoline.kind,
-            "k_stats": kernel.stats,
-            "k_spec": self.stats,
-            "k_slow": kernel.handlers.dispatch,
-            "k_sched": kernel.scheduler_tick,
-            "k_ioread": kernel.io_read,
-            "k_iowrite": kernel.io_write,
-            "k_ex": cpu._exec,
-            "k_bl": cpu._blocks,
-        }
-        config = kernel.config
-        if not needs_region:
-            spec_key = (trampoline.kind.name, trampoline.params,
-                        config.branch_trap_period)
-            if block is not None:
-                loop = self._branch_backward_loop(
-                    trampoline.params, site, block, invalidate, slow)
-                if loop is not None:
-                    return loop, bindings, spec_key, True
-        claim = self._claim(site, trampoline.kind)
-        body = gen(trampoline.params, site, region, slow, claim)
+        bindings = self.bindings(cpu, task)
+        bindings["k_kind"] = statics.kind
+        if not statics.needs_region and block is not None:
+            loop = self._branch_backward_loop(
+                statics.params, site, block, invalidate, slow)
+            if loop is not None:
+                return loop, bindings, spec_key, True
+        body = self._gen[statics.kind](statics.params, site, region, slow,
+                                       statics.claim)
         if body is None:
             self.stats.declined += 1
             return None
-
-        if needs_region:
+        if statics.needs_region:
             guard = (f"if k_task is not k_kernel.current "
                      f"or k_task.region_epoch != {task.region_epoch}:")
-            spec_key = (trampoline.kind.name, trampoline.params,
-                        task.region_epoch, region.p_l, region.p_h,
-                        region.p_u, config.ram_start, config.memory_size,
-                        config.stack_margin)
-            if claim is not None:
-                spec_key = spec_key + (("elide", claim),)
         else:
             guard = "if k_task is not k_kernel.current:"
         lines = [guard,
@@ -224,47 +223,60 @@ class TrapSpecializer:
         lines.extend("    " + line for line in body)
         return lines, bindings, spec_key, False
 
-    def trace_facts(self, cpu, site: int, target: int,
+    def trace_facts(self, site: int, target: int,
                     is_call: bool) -> Optional[TraceFacts]:
         """Specialization facts for chaining *site* into a trace.
 
-        Mirrors :meth:`inline_source`'s decline conditions exactly —
-        a site this returns ``None`` for must end the trace, so every
-        chained trap is one the specializer could also have compiled
-        stand-alone.  Emission itself lives in
-        :mod:`repro.avr.trace`; this keeps one owner of the facts
-        (kind, params, owner task, region geometry, epoch, spec key).
+        Declines exactly where :meth:`inline_source` does (both read
+        :meth:`_derive`), so every chained trap is one the specializer
+        could also have compiled stand-alone.  Emission itself lives in
+        :mod:`repro.avr.trace`.
         """
+        derived = self._derive(site, target)
+        if derived is None:
+            return None
+        statics, task, region, _ = derived
+        return TraceFacts(site=site, target=target, is_call=is_call,
+                          kind=statics.kind, params=statics.params,
+                          task=task,
+                          region=region if statics.needs_region else None,
+                          epoch=task.region_epoch, config=self.kernel.config,
+                          elide=statics.claim)
+
+    def trace_key(self, sites):
+        """``(key, task, kinds)`` for a stored trace's chained *sites*
+        (``(site, target, is_call)`` triples) under the current
+        constants, or None when any site can no longer be specialized
+        the same way (kind retired, task dead, region gone, owner
+        mismatch).
+
+        ``key`` is ``(site spec_keys, owner epoch)``, each site's key the
+        one :meth:`inline_source` bakes for it; ``kinds`` lists each
+        site's trap kind in chain order.  The cost is one owner lookup
+        per trace rather than one per site: alive tasks own disjoint
+        contiguous code ranges, so the owner of the lowest site that
+        also owns the highest one owns every site in between, and no
+        other alive task owns any of them.
+        """
+        task = self._owner(min(sites)[0])
+        if task is None or not task.owns_code(max(sites)[0]):
+            return None
+        _, region_key = self._region(task)
+        keys = []
+        kinds = []
+        for site, target, _ in sites:
+            statics = self._site_statics(site, target)
+            key = None if statics is None else statics.spec_key(region_key)
+            if key is None:
+                return None
+            keys.append(key)
+            kinds.append(statics.kind)
+        return (tuple(keys), task.region_epoch), task, kinds
+
+    def bindings(self, cpu, task) -> Dict[str, object]:
+        """The namespace names specialized code for *task* expects."""
         kernel = self.kernel
-        if site < 0:
-            return None
-        trampoline = kernel.trampolines.get(target)
-        if trampoline is None:
-            return None
-        if trampoline.kind not in self._gen:
-            return None
-        task = self._owner(site)
-        if task is None:
-            return None
-        needs_region = trampoline.kind is not PatchKind.BRANCH_BACKWARD
-        region = kernel.regions.maybe_by_task(task.task_id)
-        if needs_region and region is None:
-            return None
-        config = kernel.config
-        claim = self._claim(site, trampoline.kind)
-        if needs_region:
-            spec_key = (trampoline.kind.name, trampoline.params,
-                        task.region_epoch, region.p_l, region.p_h,
-                        region.p_u, config.ram_start, config.memory_size,
-                        config.stack_margin)
-            if claim is not None:
-                spec_key = spec_key + (("elide", claim),)
-        else:
-            region = None
-            claim = None
-            spec_key = (trampoline.kind.name, trampoline.params,
-                        config.branch_trap_period)
-        bindings = {
+        return {
             "k_kernel": kernel,
             "k_task": task,
             "k_counts": kernel.stats.trap_counts,
@@ -272,17 +284,59 @@ class TrapSpecializer:
             "k_spec": self.stats,
             "k_slow": kernel.handlers.dispatch,
             "k_sched": kernel.scheduler_tick,
+            "k_ioread": kernel.io_read,
+            "k_iowrite": kernel.io_write,
             "k_ex": cpu._exec,
             "k_bl": cpu._blocks,
         }
-        return TraceFacts(site=site, target=target, is_call=is_call,
-                          kind=trampoline.kind, params=trampoline.params,
-                          task=task, region=region,
-                          epoch=task.region_epoch, config=config,
-                          bindings=bindings, spec_key=spec_key,
-                          elide=claim)
 
-    # -- helpers -----------------------------------------------------------------
+    # -- site facts --------------------------------------------------------------
+
+    def _derive(self, site: int, target: int):
+        """The one derivation of a site's specialization facts:
+        ``(statics, task, region, spec_key)``, or None when the site
+        stays on the generic path (no trampoline, an unspecialized kind,
+        no live owner, or a region-bound kind whose owner has no
+        region)."""
+        statics = self._site_statics(site, target)
+        if statics is None:
+            return None
+        task = self._owner(site)
+        if task is None:
+            return None
+        region, region_key = self._region(task)
+        spec_key = statics.spec_key(region_key)
+        if spec_key is None:
+            return None
+        return statics, task, region, spec_key
+
+    def _site_statics(self, site: int, target: int):
+        """Memoized :class:`_SiteStatics` for *site*, or None when its
+        target is no trampoline of a kind this module specializes."""
+        trampoline = self.kernel.trampolines.get(target)
+        if trampoline is None:
+            return None
+        statics = self._statics.get(site)
+        if statics is not None and statics.trampoline is trampoline:
+            return statics
+        if site < 0 or trampoline.kind not in self._gen:
+            return None
+        statics = _SiteStatics(trampoline,
+                               self._claim(site, trampoline.kind),
+                               self.kernel.config)
+        self._statics[site] = statics
+        return statics
+
+    def _region(self, task):
+        """*task*'s region and the part of a region-bound site's key that
+        depends on it, or ``(None, None)`` when the task has no region."""
+        region = self.kernel.regions.maybe_by_task(task.task_id)
+        if region is None:
+            return None, None
+        config = self.kernel.config
+        return region, (task.region_epoch, region.p_l, region.p_h,
+                        region.p_u, config.ram_start, config.memory_size,
+                        config.stack_margin)
 
     #: Which claim may elide which trampoline kind's guard.
     _ELIDABLE = {PatchKind.MEM_INDIRECT: ("heap", "stack"),
@@ -297,10 +351,19 @@ class TrapSpecializer:
         return None
 
     def _owner(self, site: int):
+        """The alive task whose code holds *site*, or None.  A memo hit
+        is re-checked with the scan's own predicate before it is
+        trusted; a miss or a failed check rescans the task table."""
+        task = self._owners.get(site)
+        if task is not None and task.alive and task.owns_code(site):
+            return task
         for task in self.kernel.tasks.values():
             if task.alive and task.owns_code(site):
+                self._owners[site] = task
                 return task
         return None
+
+    # -- helpers -----------------------------------------------------------------
 
     @staticmethod
     def _charge(cycles: int) -> List[str]:

@@ -349,7 +349,7 @@ def test_elided_sources_drop_the_guards():
         else:
             assert "if tsp <" not in body      # no underflow check
         facts = kernel.specializer.trace_facts(
-            node.cpu, site, jmp.operands[0], False)
+            site, jmp.operands[0], False)
         assert facts is not None and facts.elide == claim
 
 

@@ -1,6 +1,6 @@
 """Trace JIT: chained superblocks must be an invisible speed knob.
 
-Four angles:
+Five angles:
 
 * differential bit-identity — the paper workloads retire identical
   architectural and kernel state traced, specialized, fused, and
@@ -8,6 +8,8 @@ Four angles:
 * deoptimization — a forced mid-run relocation bumps the region epoch,
   the stale traces' hoisted guards fire, and the run (resumed from an
   arbitrary mid-loop stop) stays bit-identical;
+* re-entry — a second node on a shared cache rebinds every trace the
+  first compiled, across relocation, unload and dynamic load;
 * the persistent store — a warm process compiles nothing and
   reproduces the cold digest byte for byte; corrupt or mismatched
   store files fall back to a clean recompile;
@@ -26,9 +28,11 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.static import ALL_FLAGS, sreg_effects
+from repro.avr.cpu import SuperblockCache
 from repro.experiments.extra_static import _workload_sources
 from repro.faults import FaultInjector, FaultPlan
 from repro.kernel import KernelConfig, SensorNode
+from repro.workloads.bintree import search_task_source
 
 # SPIN shape (inner self-loop strip + outer chain) plus stack traffic,
 # so traces with both branch traps and region-guarded sites compile.
@@ -138,6 +142,64 @@ def test_null_fault_plan_with_traces_leaves_no_trace():
         return node
 
     assert _digest(run(attach=False)) == _digest(run(attach=True))
+
+
+# -- re-entry through the shared cache ------------------------------------------
+
+_PUSH_POP = """
+main:
+    ldi r24, 200
+loop:
+    push r24
+    pop r25
+    add r26, r25
+    dec r24
+    brne loop
+    break
+"""
+
+
+def test_shared_cache_rebinds_traces_across_relocation_and_reload():
+    """A second node on one shared SuperblockCache must re-enter every
+    trace the first compiled — through region-epoch deopts, an unload
+    and a dynamic load — and both must match a private-cache run."""
+    sources = [(f"s{index}", search_task_source(
+        nodes=60, searches=15, seed=0x1357 + 0x1111 * index))
+        for index in range(3)]
+
+    def run(block_cache):
+        node = SensorNode.from_sources(sources, block_cache=block_cache)
+        node.run(max_instructions=8_000)
+        assert not node.finished
+        assert node.kernel.relocator.grow_stack(0, 16).moved
+        node.run(max_instructions=28_000)
+        assert not node.finished
+        node.kernel.unload_task("s1")
+        node.kernel.load_task("pushpop", _PUSH_POP)
+        # Re-entry resolves one owner per trace from its lowest and
+        # highest chained site, which needs disjoint alive code ranges.
+        ranges = sorted((task.image.natural.base, task.image.natural.end)
+                        for task in node.kernel.tasks.values()
+                        if task.alive)
+        assert len(ranges) >= 2  # a survivor and the loaded task
+        assert all(end <= base for (_, end), (base, _)
+                   in zip(ranges, ranges[1:]))
+        node.run(max_instructions=50_000_000)
+        assert node.finished
+        return node
+
+    reference = _digest(run(block_cache=False))
+    cache = SuperblockCache()
+    first = run(cache)
+    second = run(cache)
+    assert first.kernel.tracer.stats.compiled > 0
+    stats = second.kernel.tracer.stats
+    assert stats.compiled == 0
+    assert stats.cache_hits > 0
+    assert second.kernel.specializer.stats.deopts > 0
+    assert _digest(first) == reference
+    assert _digest(second) == reference
+    assert max(cache.compile_counts.values()) == 1
 
 
 # -- the persistent store -------------------------------------------------------

@@ -110,6 +110,49 @@ def test_network_of_identical_nodes_compiles_each_block_once():
     assert max(cache.compile_counts.values()) == 1  # each block once
 
 
+_PUSHER = """
+main:
+    ldi r16, 0x11
+    ldi r17, 0x22
+    ldi r24, 200
+loop:
+    push {register}
+    pop r18
+    add r19, r18
+    dec r24
+    brne loop
+    break
+"""
+
+
+@pytest.mark.parametrize("trace", [True, False])
+def test_equal_fingerprints_with_different_trampolines_never_share(trace):
+    """``push r16`` and ``push r17`` naturalize to the same JMP into the
+    BREAK-filled trap region, so both images burn one flash fingerprint;
+    only the trampoline params differ.  The second image on a shared
+    cache must compile its own code, not rebind the first one's."""
+    cache = SuperblockCache()
+    fingerprints = []
+    for register in ("r16", "r17"):
+        sources = [("pusher", _PUSHER.format(register=register))]
+        before = set(cache.compile_counts)
+        shared = SensorNode.from_sources(sources, trace=trace,
+                                         block_cache=cache)
+        fingerprints.append(shared.cpu.flash.fingerprint())
+        shared.run(max_instructions=1_000_000)
+        private = SensorNode.from_sources(sources, trace=trace,
+                                          block_cache=False)
+        private.run(max_instructions=1_000_000)
+        assert shared.finished
+        assert set(cache.compile_counts) - before  # compiled its own
+        if trace:
+            assert shared.kernel.tracer.stats.compiled > 0
+            assert shared.kernel.tracer.stats.cache_hits == 0
+        assert _digest(shared) == _digest(private)
+    assert fingerprints[0] == fingerprints[1]
+    assert max(cache.compile_counts.values()) == 1
+
+
 # -- radio TX ring -------------------------------------------------------------
 
 class _StubEvents:
