@@ -356,12 +356,15 @@ class AvrCpu(SimClock):
         decode time (the kernel uses this to pre-bind its dispatch);
         returning ``None`` falls back to calling *handler*.
 
-        ``inline_factory(cpu, site, target, is_call, invalidate)``, when
-        given, may return ``(lines, bindings, spec_key)`` — Python
-        statements the superblock compiler splices in as the block's
-        terminator in place of the thunk call, the namespace entries
-        they need, and a hashable key of the constants they bake in
-        (see :class:`repro.kernel.specialize.TrapSpecializer`).
+        ``inline_factory(cpu, site, target, is_call, invalidate,
+        block=None)``, when given, may return ``(lines, bindings,
+        spec_key, full_body)`` — Python statements the superblock
+        compiler splices in as the block's terminator in place of the
+        thunk call, the namespace entries they need, a hashable key of
+        the constants they bake in, and whether the statements are the
+        whole closure body (a self-looping trap given the block's
+        *block* description; see :meth:`repro.kernel.specialize
+        .TrapSpecializer.inline_source`).
         """
         self._trap_ranges = [(lo, hi)]
         self._trap_handler = handler

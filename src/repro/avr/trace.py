@@ -6,8 +6,9 @@ multi-block loop pays a full dispatch round-trip — limit checks, event
 check, IRQ check, attribute traffic on ``cycles``/``instret``/``sreg`` —
 per *block* instead of per loop.  This module chains blocks whose
 terminators are direct transfers (unconditional jumps, conditional
-branches, and the specialized trap fast paths) into one ``exec``-compiled
-closure, so the whole loop executes with locals-only state:
+branches, ``SBRS``/``SBRC`` skips, and the specialized trap fast paths)
+into one ``exec``-compiled closure, so the whole loop executes with
+locals-only state:
 
 * ``cy``/``n``/``sr`` shadow ``cycles``/``instret``/``sreg``;
 * every *seam* between chained blocks replicates the dispatch loop's
@@ -33,9 +34,16 @@ closure, so the whole loop executes with locals-only state:
 
 Mid-trace safety rests on the same invariants as superblock fusion:
 members never touch I/O, SP (outside specialized trap code), or the I
-flag, so no event can fire, no interrupt can become deliverable, and no
-device state can change between seams; SEI, RETI, ``OUT`` to SREG,
-skips, indirect jumps and calls all end a trace.
+flag.  The one device access a trace makes is an I/O-class direct
+(``LDS``/``STS``) trap site, which publishes ``cy``/``n`` before the
+access (device hooks read the clock) and re-reads the event horizon
+after it (hooks schedule and cancel events), forcing an exit at the
+next seam once an interrupt is pending; so every seam still sees the
+exact next due event.  Direct accesses to SP or SREG (which the trace
+shadows in ``sr``), SEI, RETI, ``IN``/``OUT``, ``CPSE``/``SBIC``/
+``SBIS``, indirect jumps and calls all end a trace.  An ``SBRS``/
+``SBRC`` skip chains as a two-way node: the fall-through continues,
+the skip exits (or closes the loop).
 
 Compiled traces are shared across CPUs through the in-process
 :class:`~repro.avr.cpu.SuperblockCache` (key-prefixed ``"trace"``) and,
@@ -51,11 +59,12 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..analysis.static.liveness import sreg_effects
 from ..fingerprint import content_key
 from ..errors import InvalidInstruction, MemoryFault
+from . import ioports
 from .cpu import (_ASR_TABLE, _DEC_TABLE, _INC_TABLE, _LOGIC_TABLE,
                   _LSR_TABLE, _NEG_TABLE, _ROR_TABLES, _CachedBlock,
                   _add_table, _sub_row, _sub_table)
@@ -72,7 +81,12 @@ _MAX_STRIP = 16_777_216
 
 #: On-disk artifact format version; any change to the generated source
 #: conventions or the artifact schema must bump this.
-STORE_VERSION = 1
+STORE_VERSION = 2
+
+#: I/O addresses a direct access to which ends the trace: SREG lives in
+#: the ``sr`` local, and SPL/SPH are virtualized against the task's
+#: region, staying on the dispatch path like SP_READ/SP_WRITE sites.
+_SHADOWED_IO = frozenset({ioports.SPL, ioports.SPH, ioports.SREG})
 
 
 @dataclass
@@ -152,7 +166,7 @@ class _Node:
     """One chained block: members plus a classified terminator."""
 
     __slots__ = ("start", "members", "count", "cost", "kind", "facts",
-                 "cont", "bit", "branch_if_set", "taken", "fall",
+                 "cont", "bit", "reg", "branch_if_set", "taken", "fall",
                  "target", "jcycles", "nat_target", "strip", "deferred",
                  "strip_elide", "kind_index")
 
@@ -161,15 +175,16 @@ class _Node:
         self.members = members
         self.count = len(members)
         self.cost = sum(m.cycles for m in members)
-        self.kind = None        # "brcond" | "jmp" | "trap"
+        self.kind = None        # "brcond" | "skip" | "jmp" | "trap"
         self.facts = None       # TraceFacts for trap terminators
         self.cont = None        # in-trace successor address, or None
-        self.bit = None
+        self.bit = None         # SREG bit tested; register bit for skips
+        self.reg = None         # register a skip tests
         self.branch_if_set = False
         self.taken = None
         self.fall = None
         self.target = None
-        self.jcycles = 0
+        self.jcycles = 0        # terminator cycles when taken
         self.nat_target = None
         self.strip = False       # self-looping branch trap: strip-mine
         self.deferred = False    # last member's flags deferred past test
@@ -312,6 +327,10 @@ class TraceCompiler:
         self.store = store
         self.stats = TraceStats()
         self.max_blocks = max_blocks
+        #: Start of every block chained behind the head of a trace this
+        #: compiler built: the pcs a seam exit can leave the dispatch
+        #: loop at, mid-loop (cache priming fuses them ahead of time).
+        self.chained: Set[int] = set()
 
     # -- entry point --------------------------------------------------------------
 
@@ -457,6 +476,7 @@ class TraceCompiler:
         head = nodes[0]
         entry = (ns["_blk"], head.count + 1, head.cost)
         self.stats.compiled += 1
+        self.chained.update(node.start for node in nodes[1:])
         if self.specializer is not None and sites:
             # Each chained site is a specialization this trace replaces.
             self.specializer.stats.compiled += len(sites)
@@ -581,6 +601,23 @@ class TraceCompiler:
             node.branch_if_set = m == "BRBS"
             node.taken = ins.next_address + k
             node.fall = ins.next_address
+            node.jcycles = 2
+            node.cont = node.fall
+            return node
+        if m in ("SBRS", "SBRC"):
+            # The skipped (naturalized) instruction's size fixes both
+            # the taken target and its extra cycles; flash only changes
+            # by a re-burn, which drops every compiled trace.
+            try:
+                size = cpu.flash.instruction_size(ins.next_address)
+            except MemoryFault:
+                return None
+            node.kind = "skip"
+            node.reg, node.bit = ins.operands
+            node.branch_if_set = m == "SBRS"
+            node.taken = ins.next_address + size
+            node.fall = ins.next_address
+            node.jcycles = 1 + size
             node.cont = node.fall
             return node
         if m == "RJMP":
@@ -598,8 +635,8 @@ class TraceCompiler:
             node.jcycles = 3
             node.cont = node.target
             return node
-        # RET/RETI, indirect transfers, skips, I/O, SLEEP, BREAK,
-        # undecodable: the trace ends before this block.
+        # RET/RETI, indirect transfers, CPSE/SBIC/SBIS, IN/OUT, SLEEP,
+        # BREAK, undecodable: the trace ends before this block.
         return None
 
     def _classify_trap(self, node: _Node, facts):
@@ -621,17 +658,10 @@ class TraceCompiler:
                 node.cont = resume
             return node
         if name == "MEM_DIRECT":
-            _mn, _reg, logical = facts.params
-            config = facts.config
-            region = facts.region
-            if logical < config.ram_start:
-                return None  # I/O class: hooks may raise events/IRQs
-            if logical >= config.memory_size:
-                return None  # always a fault: stay generic
-            if logical >= config.ram_start + region.heap_size:
-                physical = logical + (region.p_u - config.memory_size)
-                if not region.p_h <= physical < region.p_u:
-                    return None  # faults at this geometry
+            from ..kernel.specialize import direct_access
+            if facts.params[2] in _SHADOWED_IO or direct_access(
+                    facts.params, facts.region, facts.config) is None:
+                return None  # SP/SREG, or faults at this geometry
             node.cont = resume
             return node
         if name in ("MEM_INDIRECT", "STACK_PUSH", "STACK_POP"):
@@ -825,8 +855,8 @@ class _Emitter:
     # -- per-node bodies ----------------------------------------------------------
 
     def _node_body(self, node: _Node):
-        if node.kind == "brcond":
-            return self._brcond_body(node)
+        if node.kind in ("brcond", "skip"):
+            return self._two_way_body(node)
         if node.kind == "jmp":
             return self._jmp_body(node)
         name = node.facts.kind.name
@@ -844,19 +874,29 @@ class _Emitter:
             return self._stack_pop_body(node), None
         return self._call_direct_body(node), None
 
-    def _brcond_body(self, node: _Node):
+    @staticmethod
+    def _taken_test(node: _Node, flags: Optional[str] = None) -> str:
+        """The taken condition of a two-way node: a register bit for a
+        skip, else an SREG bit.  *flags* names the SREG holder on the
+        deopt path; inside the trace (None) a deferring node tests its
+        result predicate instead of ``sr``."""
+        if node.kind == "skip":
+            expr = f"r[{node.reg}] & {1 << node.bit}"
+        elif flags is None and node.deferred:
+            expr = node.members[-1].preds[1 << node.bit]
+        else:
+            expr = f"{flags or 'sr'} & {1 << node.bit}"
+        return expr if node.branch_if_set else f"not ({expr})"
+
+    def _two_way_body(self, node: _Node):
+        """A native conditional branch or an SBRS/SBRC skip: the taken
+        arm exits (or closes the loop), the fall-through continues."""
         lines = self._member_lines(node)
         pending = self._pending(node)
-        if node.deferred:
-            pred = node.members[-1].preds[1 << node.bit]
-            test = pred if node.branch_if_set else f"not ({pred})"
-        else:
-            mask = 1 << node.bit
-            test = f"sr & {mask}" if node.branch_if_set \
-                else f"not (sr & {mask})"
+        test = self._taken_test(node)
         mats = pending[0] if pending else ()
         lines.append(f"n += {node.count + 1}")
-        taken = [f"cy += {node.cost + 2}"]
+        taken = [f"cy += {node.cost + node.jcycles}"]
         if node.taken == self.head_addr:
             taken += self._backedge(pending)
         else:
@@ -962,23 +1002,24 @@ class _Emitter:
         return lines
 
     def _mem_direct_body(self, node: _Node) -> List[str]:
-        from ..kernel import costs
+        from ..kernel.specialize import direct_access
+        from ..kernel.translation import AccessClass
         facts = node.facts
-        mnemonic, reg, logical = facts.params
-        region = facts.region
-        config = facts.config
-        rs = config.ram_start
-        if logical < rs + region.heap_size:
-            physical = region.p_l + (logical - rs)
-        else:
-            physical = logical + (region.p_u - config.memory_size)
-        store = mnemonic == "STS"
-        effect = f"mem[{physical}] = r[{reg}]" if store \
-            else f"r[{reg}] = mem[{physical}]"
-        charge = 2 + costs.MEM_DIRECT_OTHER
+        access, effect, charge = direct_access(facts.params, facts.region,
+                                               facts.config)
         lines = self._trap_prologue(node)
-        lines += [f"c{node.kind_index} += 1", effect,
-                  f"cy += {charge}", f"kc += {charge}", "n += 1"]
+        lines.append(f"c{node.kind_index} += 1")
+        if access is AccessClass.IO:
+            # Device hooks read the clock and may schedule or cancel
+            # events: publish cy/n first, then re-read the horizon
+            # (keeping until()'s -1.0 pin) so the next seam exits on
+            # time — and at once if an interrupt became pending.
+            lines += ["cpu.cycles = cy", "cpu.instret = n", effect,
+                      "if da >= 0: da = -1.0 if cpu._pending_irqs "
+                      "else cpu.events.next_due"]
+        else:
+            lines.append(effect)
+        lines += [f"cy += {charge}", f"kc += {charge}", "n += 1"]
         return lines
 
     def _stack_push_body(self, node: _Node) -> List[str]:
@@ -1072,13 +1113,7 @@ class _Emitter:
                 lines += self._flush(node.nat_target, "check")
             return lines, None
         pending = self._pending(node)
-        if node.deferred:
-            pred = node.members[-1].preds[1 << node.bit]
-            test = pred if node.branch_if_set else f"not ({pred})"
-        else:
-            mask = 1 << node.bit
-            test = f"sr & {mask}" if node.branch_if_set \
-                else f"not (sr & {mask})"
+        test = self._taken_test(node)
         mats = pending[0] if pending else ()
         taken = [f"cy += {node.cost + 2 + inline}",
                  f"kc += {2 + inline}"]
@@ -1193,14 +1228,11 @@ class _Emitter:
             if head.count:
                 lines.append(f"cpu.instret += {head.count}")
             lines += [self._slow_call(head.facts), "cpu.instret += 1"]
-        elif head.kind == "brcond":
-            flags = "sr" if touches else "cpu.sreg"
-            mask = 1 << head.bit
-            test = f"{flags} & {mask}" if head.branch_if_set \
-                else f"not ({flags} & {mask})"
+        elif head.kind in ("brcond", "skip"):
+            test = self._taken_test(head, "sr" if touches else "cpu.sreg")
             lines += [f"if {test}:",
                       f"    cpu.pc = {head.taken}",
-                      f"    cpu.cycles += {head.cost + 2}",
+                      f"    cpu.cycles += {head.cost + head.jcycles}",
                       "else:",
                       f"    cpu.pc = {head.fall}",
                       f"    cpu.cycles += {head.cost + 1}",
@@ -1222,8 +1254,8 @@ class _Emitter:
             body.append("sr = cpu.sreg")
         body += ["cy = cpu.cycles",
                  "n = cpu.instret",
-                 # No event can be scheduled mid-trace, so next_due is
-                 # trace-invariant; -1.0 forces an exit at the first
+                 # Only I/O sites can move next_due mid-trace, and
+                 # they re-read it; -1.0 forces an exit at the first
                  # seam when until() must be evaluated per dispatch.
                  "da = -1.0 if cpu._run_until is not None "
                  "else cpu.events.next_due",

@@ -166,8 +166,9 @@ def prime_caches(spec: FleetSpec,
     because the specializer keys compiled variants on observed device
     state — ``UCSR0A`` reads differ between "bytes pending" (RXC set)
     and "idle" — so a single pass would leave one variant to compile
-    per worker after the fork.  Returns (primed image count, CPU
-    seconds spent priming).
+    per worker after the fork.  Last, the blocks the scratch runs'
+    traces chained are fused too (:func:`_prime_seams`).  Returns
+    (primed image count, CPU seconds spent priming).
     """
     t0 = time.process_time()
     seen_sources = set()
@@ -205,7 +206,32 @@ def prime_caches(spec: FleetSpec,
             fed.radio.deliver(payload[half:])
             while not fed.finished and fed.cpu.cycles < prime_cycles:
                 fed.run(max_cycles=fed.cpu.cycles + slice_cycles)
+        _prime_seams(sources, spec.seed, (probe, fed))
     return len(seen_images), time.process_time() - t0
+
+
+def _prime_seams(sources, seed: int, scratch) -> None:
+    """Fuse every block the scratch nodes' traces chained behind a head.
+
+    A trace leaves the dispatch loop at such a block when a seam check
+    stops it (an event due, a horizon reached), so a fleet node may
+    enter one mid-loop that no scratch run ever entered.  The blocks
+    are fused on a node whose task is alive — the unfed probe while it
+    still waits for input, else a fresh node of the image — until no
+    newly compiled trace chains another.
+    """
+    probe = scratch[0]
+    warm = probe if not probe.finished else SensorNode.from_sources(
+        list(sources), adc_seed=derive_scratch_seed(seed))
+    tracers = [node.kernel.tracer for node in (*scratch, warm)]
+    fused = set()
+    while True:
+        todo = set().union(*(tracer.chained for tracer in tracers)) - fused
+        if not todo:
+            return
+        for pc in sorted(todo):
+            warm.cpu._fuse_block(pc)
+        fused |= todo
 
 
 def derive_scratch_seed(seed: int) -> int:

@@ -51,12 +51,44 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..rewriter.classify import PatchKind
 from . import costs
+from .translation import AccessClass
 
 #: LD/ST pointer-mode base registers (mode stripped of +/-).
 _PTR_BASE = {"X": 26, "Y": 28, "Z": 30}
 
 #: Shared statement: per-execution trap count, identical to dispatch's.
 _COUNT = "k_counts[k_kind] = k_counts.get(k_kind, 0) + 1"
+
+
+def direct_access(params, region, config):
+    """The one derivation of a direct (``LDS``/``STS``) access site.
+
+    Returns ``(access, effect, charge)``: the access class, the statement
+    performing the access (I/O through ``k_ioread``/``k_iowrite``, heap
+    and stack at the physical address baked for *region*), and the cycles
+    the trap charges — or None where the access faults (a stack address
+    outside the region at this geometry, or beyond logical space).
+    """
+    mnemonic, reg, logical = params
+    rs = config.ram_start
+    store = mnemonic == "STS"
+    if logical < rs:
+        effect = f"k_iowrite({logical}, r[{reg}])" if store \
+            else f"r[{reg}] = k_ioread({logical})"
+        return AccessClass.IO, effect, 2 + costs.MEM_DIRECT_IO
+    if logical < rs + region.heap_size:
+        access = AccessClass.HEAP
+        physical = region.p_l + (logical - rs)
+    elif logical < config.memory_size:
+        access = AccessClass.STACK
+        physical = logical + (region.p_u - config.memory_size)
+        if not region.p_h <= physical < region.p_u:
+            return None
+    else:
+        return None
+    effect = f"mem[{physical}] = r[{reg}]" if store \
+        else f"r[{reg}] = mem[{physical}]"
+    return access, effect, 2 + costs.MEM_DIRECT_OTHER
 
 
 @dataclass
@@ -447,31 +479,12 @@ class TrapSpecializer:
 
     def _mem_direct(self, params, site: int, region, slow: str,
                      claim=None):
-        mnemonic, reg, logical = params
-        resume = site + 2
-        config = self.kernel.config
-        rs = config.ram_start
-        store = mnemonic == "STS"
-        if logical < rs:
-            effect = f"k_iowrite({logical}, r[{reg}])" if store \
-                else f"r[{reg}] = k_ioread({logical})"
-            cycles = 2 + costs.MEM_DIRECT_IO
-        elif logical < rs + region.heap_size:
-            physical = region.p_l + (logical - rs)
-            effect = f"mem[{physical}] = r[{reg}]" if store \
-                else f"r[{reg}] = mem[{physical}]"
-            cycles = 2 + costs.MEM_DIRECT_OTHER
-        elif logical < config.memory_size:
-            physical = logical + (region.p_u - config.memory_size)
-            if not region.p_h <= physical < region.p_u:
-                return None  # faults at this geometry: stay generic
-            effect = f"mem[{physical}] = r[{reg}]" if store \
-                else f"r[{reg}] = mem[{physical}]"
-            cycles = 2 + costs.MEM_DIRECT_OTHER
-        else:
-            return None      # out of logical space: always a fault
+        access = direct_access(params, region, self.kernel.config)
+        if access is None:
+            return None  # faults at this geometry: stay generic
+        _, effect, cycles = access
         return [_COUNT, effect] + self._charge(cycles) \
-            + [f"cpu.pc = {resume}"]
+            + [f"cpu.pc = {site + 2}"]
 
     def _stack_push(self, params, site: int, region, slow: str,
                      claim=None):

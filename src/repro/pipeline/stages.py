@@ -235,6 +235,9 @@ class SimulateStage(Stage):
     the outcome, including the bit-exact final-state digest."""
 
     name = "simulate"
+    #: Bumped whenever the JIT counters the report carries change for
+    #: the same input, so stored verdicts never serve stale counters.
+    version = 2
     persistent = True
 
     def run(self, pipeline, request, ctx):

@@ -1,10 +1,13 @@
 """Trace JIT: chained superblocks must be an invisible speed knob.
 
-Five angles:
+Six angles:
 
 * differential bit-identity — the paper workloads retire identical
   architectural and kernel state traced, specialized, fused, and
   stepwise;
+* device polling loops — traces through I/O-class direct accesses and
+  SBRS/SBRC skips match stepwise execution at every early stop, under
+  ``until()``, across a radio link, and through skip-head deopts;
 * deoptimization — a forced mid-run relocation bumps the region epoch,
   the stale traces' hoisted guards fire, and the run (resumed from an
   arbitrary mid-loop stop) stays bit-identical;
@@ -28,11 +31,15 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.static import ALL_FLAGS, sreg_effects
+from repro.avr import ioports
 from repro.avr.cpu import SuperblockCache
 from repro.experiments.extra_static import _workload_sources
 from repro.faults import FaultInjector, FaultPlan
+from repro.fleet.workload import receiver_src, relay_src, sender_src
 from repro.kernel import KernelConfig, SensorNode
+from repro.net import Network
 from repro.workloads.bintree import search_task_source
+from repro.workloads.kernelbench import KERNEL_BENCHMARKS
 
 # SPIN shape (inner self-loop strip + outer chain) plus stack traffic,
 # so traces with both branch traps and region-guarded sites compile.
@@ -142,6 +149,174 @@ def test_null_fault_plan_with_traces_leaves_no_trace():
         return node
 
     assert _digest(run(attach=False)) == _digest(run(attach=True))
+
+
+# -- device polling loops: I/O-class direct sites and SBRS/SBRC skips -----------
+
+# Polls TCNT0 through a direct load: the value read depends on the
+# exact cycle, so the trace must publish its clock before the access.
+_TIMER0_POLL = f"""
+main:
+    ldi r20, 12
+again:
+wait_set:
+    lds r17, {ioports.TCNT0}
+    sbrs r17, 3
+    rjmp wait_set
+wait_clear:
+    lds r17, {ioports.TCNT0}
+    sbrc r17, 3
+    rjmp wait_clear
+    add r18, r17
+    dec r20
+    brne again
+    break
+"""
+
+# Starts a conversion, spins ~150 strip-mined iterations (past the
+# 832-cycle completion) inside the same trace, then reads ADCL without
+# polling: the result is fresh only if the trace re-read the event
+# horizon after the ADCSRA store scheduled the completion.
+_ADC_DELAY = f"""
+main:
+    ldi r20, 6
+again:
+    ldi r18, {1 << ioports.ADSC}
+    sts {ioports.ADCSRA}, r18
+    ldi r24, 0x6A
+    ldi r25, 0xFF
+    rjmp delay
+delay:
+    adiw r24, 1
+    brne delay
+    lds r18, {ioports.ADCL}
+    add r19, r18
+    dec r20
+    brne again
+    break
+"""
+
+# Skips one-word instructions on TCNT0 bits that change every few
+# iterations, so skip heads are entered (and deopted) on both arms.
+_TIMER0_SKIPS = f"""
+main:
+    ldi r20, 200
+loop:
+    lds r17, {ioports.TCNT0}
+    sbrs r17, 0
+    inc r18
+    sbrc r17, 1
+    inc r19
+    dec r20
+    brne loop
+    break
+"""
+
+_POLLING = {
+    "timer0": _TIMER0_POLL,
+    "timer0_skips": _TIMER0_SKIPS,
+    "adc_delay": _ADC_DELAY,
+    "readadc": KERNEL_BENCHMARKS["readadc"](),
+    "am": KERNEL_BENCHMARKS["am"](),
+}
+
+
+def _stops():
+    yield from range(1, 401)
+    yield from range(400 + 97, 20_001, 97)
+
+
+@pytest.mark.parametrize("name", sorted(_POLLING))
+def test_polling_loops_match_stepwise_at_every_stop(name):
+    """Traced polling loops retire stepwise-identical state whether run
+    in one go or stopped at every early instruction count (each stop
+    leaves a trace at a seam and re-enters it mid-loop)."""
+    sources = [(name, _POLLING[name])]
+    whole = _boot(sources)
+    whole.run(max_instructions=50_000_000)
+    assert whole.finished
+    assert whole.kernel.tracer.stats.compiled > 0
+    reference = _boot(sources, fuse=False)
+    reference.run(max_instructions=50_000_000)
+    assert _digest(whole) == _digest(reference)
+
+    traced, stepwise = _boot(sources), _boot(sources, fuse=False)
+    for stop in _stops():
+        traced.run(max_instructions=stop)
+        stepwise.run(max_instructions=stop)
+        assert _digest(traced) == _digest(stepwise), stop
+        if stepwise.finished:
+            break
+
+
+@pytest.mark.parametrize("name", sorted(_POLLING))
+def test_polling_loops_stop_on_until_like_untraced(name):
+    """``until()`` is evaluated once per dispatch, so its stops are
+    compared with the untraced fused tier rather than stepwise."""
+    sources = [(name, _POLLING[name])]
+    traced, fused = _boot(sources), _boot(sources, trace=False)
+    for limit in range(50, 3_000, 71):
+        def until(cpu, limit=limit):
+            return cpu.instret >= limit or cpu.r[17] == limit & 0xFF
+        traced.run(max_instructions=50_000_000, until=until)
+        fused.run(max_instructions=50_000_000, until=until)
+        assert _digest(traced) == _digest(fused), limit
+    traced.run(max_instructions=50_000_000)
+    fused.run(max_instructions=50_000_000)
+    assert _digest(traced) == _digest(fused)
+
+
+def test_radio_network_traced_matches_stepwise():
+    def run(**overrides):
+        net = Network()
+        net.add_node("tx", _boot([("sender", sender_src(12))],
+                                 **overrides))
+        net.add_node("rx", _boot([("receiver", receiver_src(12))],
+                                 **overrides))
+        net.connect("tx", "rx", latency_cycles=700)
+        net.run(max_cycles=50_000_000)
+        assert all(node.finished for node in net.nodes.values())
+        return net
+
+    traced, stepwise = run(), run(fuse=False)
+    assert traced.nodes["tx"].kernel.tracer.stats.compiled > 0
+    for name in ("tx", "rx"):
+        assert _digest(traced.nodes[name]) == \
+            _digest(stepwise.nodes[name]), name
+
+
+def test_relay_spin_loops_trace_without_declines():
+    """A relay's ``lds UCSR0A; sbrs; rjmp`` spins chain into traces
+    instead of declining at the I/O load."""
+    node = _boot([("relay", relay_src(16))])
+    node.run(max_instructions=30_000)
+    stats = node.kernel.tracer.stats
+    assert stats.compiled >= 1
+    assert stats.declined == 0
+
+
+def test_skip_head_deopt_replays_both_arms():
+    """A region move retires traces whose head is a skip: the deopt arm
+    replays the skip generically, taken or not, bit for bit."""
+
+    def run(**overrides):
+        node = _boot([("skips", _TIMER0_SKIPS), ("skips2", _TIMER0_SKIPS)],
+                     **overrides)
+        history = []
+        for stop in range(1, 1_000):
+            node.run(max_instructions=stop)
+            history.append(_digest(node))
+            if stop % 50 == 0:  # a region move every 50 instructions
+                assert node.kernel.relocator.grow_stack(
+                    stop // 50 % 2, 8).moved
+        node.run(max_instructions=50_000_000)
+        assert node.finished
+        history.append(_digest(node))
+        return node, history
+
+    traced, history = run()
+    assert traced.kernel.specializer.stats.deopts > 0
+    assert history == run(fuse=False)[1]
 
 
 # -- re-entry through the shared cache ------------------------------------------
