@@ -300,6 +300,9 @@ class AvrCpu(SimClock):
             [None] * flash.size_words
         #: Superblock cache: pc -> (closure, instructions, member cycles).
         self._blocks: List[Optional[Tuple]] = [None] * flash.size_words
+        #: True once _exec or _blocks holds an entry stored since the
+        #: last invalidate_decode(), which clears only when it is set.
+        self._decoded = False
         self._devices: List = []
         self._pending_irqs: Deque[int] = deque()
         self._trap_ranges: List = []  # [(lo, hi)] word-address ranges
@@ -408,10 +411,15 @@ class AvrCpu(SimClock):
 
         Clears the caches *in place*: the run loop keeps direct references
         to them, and a trap handler may invalidate mid-run (dynamic task
-        loading re-burns flash and appends trap regions).
+        loading re-burns flash and appends trap regions).  The clear is
+        skipped when nothing was stored since the last one, so
+        configuring a fresh CPU (``set_trap_region``, ``set_tracer``)
+        costs nothing.
         """
-        self._exec[:] = [None] * self.flash.size_words
-        self._blocks[:] = [None] * self.flash.size_words
+        if self._decoded:
+            self._exec[:] = [None] * self.flash.size_words
+            self._blocks[:] = [None] * self.flash.size_words
+            self._decoded = False
         self._cache_base_key = None  # flash/trap geometry may have changed
 
     def enable_profiling(self) -> None:
@@ -639,6 +647,7 @@ class AvrCpu(SimClock):
                 profile[address] += 1
                 inner()
         self._exec[pc] = thunk
+        self._decoded = True
         return thunk
 
     def _skip_cycles_and_target(self, after: int) -> (int, int):
@@ -672,6 +681,7 @@ class AvrCpu(SimClock):
             entry = self._tracer.entry_for(pc)
             if entry is not None:
                 self._blocks[pc] = entry
+                self._decoded = True
                 return entry
         base = self._cache_base()
         if base is not None:
@@ -800,6 +810,7 @@ class AvrCpu(SimClock):
         exec(code, namespace)
         entry = (namespace["_blk"], icount, cost)
         self._blocks[pc] = entry
+        self._decoded = True
         if base is not None:
             tables = {name: value for name, value in namespace.items()
                       if name[0] in "tu" and name[1:].isdigit()}
@@ -872,6 +883,7 @@ class AvrCpu(SimClock):
         exec(block.code, ns)
         entry = (ns["_blk"], block.icount, block.cost)
         self._blocks[pc] = entry
+        self._decoded = True
         return entry
 
     def _decode_instruction(self, pc: int) -> Instruction:

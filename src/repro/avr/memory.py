@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterable, List, Optional, Sequence
 
 from ..errors import MemoryFault
+from ..fingerprint import blake2b_hex
 from . import ioports
 from .encoding import instruction_words
 
@@ -14,13 +16,15 @@ class Flash:
 
     Flash contents are immutable during execution (paper assumption
     III-A: application code does not modify itself), which lets the CPU
-    pre-decode words into executable closures.
+    pre-decode words into executable closures.  The words are packed
+    in an ``array("H")`` (2 bytes each), so building a node and hashing
+    its image cost a buffer copy, not a walk over 64K Python ints.
     """
 
     def __init__(self, words: Optional[Sequence[int]] = None,
                  size_words: int = ioports.FLASH_WORDS):
         self.size_words = size_words
-        self._words: List[int] = [0xFFFF] * size_words
+        self._words = array("H", [0xFFFF]) * size_words
         self._burn_listeners: List = []
         self._fingerprint: Optional[str] = None
         if words is not None:
@@ -35,9 +39,16 @@ class Flash:
         self._burn_listeners.append(listener)
 
     def load(self, word_address: int, words: Iterable[int]) -> None:
-        """Burn *words* into flash starting at *word_address*."""
-        for offset, word in enumerate(words):
-            self._words[word_address + offset] = word & 0xFFFF
+        """Burn *words* into flash starting at *word_address*.
+
+        All or nothing: a burn that would not fit in flash raises
+        :class:`MemoryFault` before any word, the fingerprint or a burn
+        listener changes.
+        """
+        words = array("H", [word & 0xFFFF for word in words])
+        if not 0 <= word_address <= self.size_words - len(words):
+            raise MemoryFault(word_address, "program burn")
+        self._words[word_address:word_address + len(words)] = words
         self._fingerprint = None
         for listener in self._burn_listeners:
             listener()
@@ -50,11 +61,7 @@ class Flash:
         in a network compile each hot block once).
         """
         if self._fingerprint is None:
-            import array
-
-            from ..fingerprint import blake2b_hex
-            payload = array.array("H", self._words).tobytes()
-            self._fingerprint = blake2b_hex(payload)
+            self._fingerprint = blake2b_hex(self._words.tobytes())
         return self._fingerprint
 
     def word(self, word_address: int) -> int:
@@ -74,7 +81,7 @@ class Flash:
     def as_words(self, start: int = 0,
                  count: Optional[int] = None) -> List[int]:
         end = self.size_words if count is None else start + count
-        return self._words[start:end]
+        return self._words[start:end].tolist()
 
 
 class DataMemory:

@@ -86,7 +86,8 @@ class LoadError(KernelError):
     """The dynamic loader rejected an image before installing anything.
 
     Raised for malformed or truncated sources (and anything else the
-    compile/naturalize stages refuse); mirrors the
+    compile/naturalize stages refuse) and for programs that do not fit
+    in the flash left after the loader's cursor; mirrors the
     :class:`~repro.kernel.termination.TerminationReason` style with a
     stable ``reason`` string.  The loader guarantees the node is
     untouched when this escapes: no flash burned, no trampolines

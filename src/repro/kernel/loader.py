@@ -71,7 +71,8 @@ class DynamicLoader:
              min_stack: Optional[int] = None) -> LoadReport:
         """Compile, naturalize, burn and start *source* as a new task.
 
-        A malformed or truncated *source* raises :class:`LoadError`
+        A malformed or truncated *source*, or one that does not fit in
+        the flash left, raises :class:`LoadError`
         *before* anything is installed: the validation pass is charged
         (a real bootloader walks the whole transfer before deciding),
         but flash, trampolines, the trap-region list and the region map
@@ -129,22 +130,26 @@ class DynamicLoader:
         kernel = self.kernel
         base = self.flash_cursor
         pool = TrampolinePool()
+        cpu = kernel.cpu
         # Through the pipeline's work functions, so the process-wide
         # stage counters account for dynamic loads exactly like linked
         # images (a warm serve path must show zero of either).
         try:
             natural = naturalize_at(name, source, base, pool,
                                     self.rewriter)
+            trap_lo = base + natural.size_words
+            trap_hi = pool.place(trap_lo)
+            if trap_hi > cpu.flash.size_words:
+                raise LinkError(f"does not fit in flash: needs words "
+                                f"{base}-{trap_hi - 1} of "
+                                f"{cpu.flash.size_words}")
         except (AssemblerError, EncodingError, LinkError,
                 RewriteError) as error:
             kernel.charge(costs.LOAD_VALIDATE_BASE
                           + costs.LOAD_VALIDATE_PER_BYTE * len(source))
             raise LoadError(name, str(error)) from error
-        trap_lo = base + natural.size_words
-        trap_hi = pool.place(trap_lo)
         natural.resolve(pool)
 
-        cpu = kernel.cpu
         cpu.flash.load(base, natural.words)
         cpu.flash.load(trap_lo, [0x9598] * (trap_hi - trap_lo))
         kernel.trampolines.update(pool.by_address())

@@ -153,3 +153,24 @@ def test_block_helpers_roundtrip():
     assert cpu.mem.read_block(0x200, 5) == b"hello"
     cpu.mem.move_block(0x200, 0x202, 5)  # overlapping move
     assert cpu.mem.read_block(0x202, 5) == b"hello"
+
+
+@pytest.mark.parametrize("address, words", [
+    (-1, [0x1111]),                 # a negative index would wrap
+    (0xFFFF, [0x1234, 0x5678]),     # runs one word past the end
+])
+def test_out_of_range_burn_changes_nothing(address, words):
+    """A burn that does not fit faults before touching flash: no word,
+    no fingerprint and no burn listener sees a partial write."""
+    flash = Flash()
+    flash.load(0, [0x940C, 0x0000, 0xE011])
+    calls = []
+    flash.add_burn_listener(lambda: calls.append(1))
+    before = flash.as_words()
+    fingerprint = flash.fingerprint()
+    with pytest.raises(MemoryFault) as info:
+        flash.load(address, words)
+    assert info.value.kind == "program burn"
+    assert flash.as_words() == before
+    assert flash.fingerprint() == fingerprint
+    assert calls == []

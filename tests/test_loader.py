@@ -217,6 +217,38 @@ def test_malformed_load_rejected_cleanly(bad_source):
         assert task.context.regs[20] == 0x5A
 
 
+#: About 35,000 words: one copy fits after a one-task image, a second
+#: would run past the last flash word.
+HUGE_CODE = "main:\n    break\n" + \
+    ("    .dw " + ", ".join(["0"] * 50) + "\n") * 700
+
+
+def test_load_past_end_of_flash_rejected_cleanly():
+    """A load that does not fit in flash is rejected like a malformed
+    one: validation is charged, nothing is burned, and the node runs
+    on to the same finish."""
+    node = make_node(("u1", STACK_USER))
+    kernel = node.kernel
+    node.run(max_cycles=50_000)
+    kernel.load_task("big", HUGE_CODE)
+    before = _node_snapshot(node)
+    fingerprint = node.cpu.flash.fingerprint()
+    cycles_before = node.cpu.cycles
+    with pytest.raises(LoadError) as info:
+        kernel.load_task("bigger", HUGE_CODE)
+    assert "does not fit in flash" in str(info.value)
+    assert _node_snapshot(node) == before
+    assert node.cpu.flash.fingerprint() == fingerprint
+    assert node.cpu.cycles > cycles_before  # validation was charged
+    node.run(max_instructions=30_000_000)
+    assert node.finished
+    assert node.task_named("big").exit_reason == "exit"
+    task = node.task_named("u1")
+    assert task.exit_reason == "exit"
+    assert (task.context.regs[18], task.context.regs[19],
+            task.context.regs[20]) == (0x66, 0x5A, 0x5A)
+
+
 def test_failed_load_then_good_load_still_works():
     node = make_node(("s1", SPINNER))
     kernel = node.kernel

@@ -10,8 +10,12 @@ serviced before the next dispatch.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.avr import AvrCpu, Flash, assemble, ioports
+from repro.avr.cpu import SuperblockCache
 from repro.avr.devices import Timer3
+from repro.avr.trace import TraceCompiler
 from repro.kernel import SensorNode
 
 # Exercises every fused member template family: 8-bit ALU, immediates,
@@ -184,6 +188,80 @@ main:
     cpu.run(max_instructions=100)
     assert cpu.halted
     assert cpu.r[16] == 1 and cpu.r[17] == 9
+
+
+# invalidate_decode() skips the clear when nothing was stored since the
+# last one, so every writer of _exec/_blocks must say that it stored.
+# Each case below makes exactly one store on a fresh CPU.
+
+_LOOP = """
+main:
+    ldi r16, 5
+loop:
+    dec r16
+    breq done
+    inc r17
+    rjmp loop
+done:
+    break
+"""
+
+
+def _loop_cpu(**kwargs):
+    program = assemble(_LOOP)
+    flash = Flash()
+    flash.load(0, program.words)
+    kwargs.setdefault("block_cache", False)
+    return AvrCpu(flash, **kwargs), program.labels
+
+
+def _decode_at():
+    cpu, labels = _loop_cpu()
+    cpu._decode_at(labels["loop"])
+    return cpu
+
+
+def _compiled_block():
+    # Cut at the member cap: a block ending in a terminator also decodes
+    # the terminator's thunk, a second store that would hide this one.
+    cpu, labels = _loop_cpu(max_block=1)
+    cpu._fuse_block(labels["main"])
+    return cpu
+
+
+def _from_cache():
+    cache = SuperblockCache()
+    donor, labels = _loop_cpu(block_cache=cache)
+    donor._fuse_block(labels["loop"])  # ends in an inlined BREQ
+    cpu, _ = _loop_cpu(block_cache=cache)
+    cpu._fuse_block(labels["loop"])
+    assert cache.hits == 1
+    return cpu
+
+
+def _trace_entry():
+    cpu, labels = _loop_cpu()
+    tracer = TraceCompiler(cpu)
+    cpu.set_tracer(tracer)
+    cpu._fuse_block(labels["main"])
+    assert tracer.stats.compiled == 1
+    return cpu
+
+
+def _stored(cpu: AvrCpu):
+    return [(name, pc) for name, cache in (("exec", cpu._exec),
+                                           ("blocks", cpu._blocks))
+            for pc, entry in enumerate(cache) if entry is not None]
+
+
+@pytest.mark.parametrize("writer", [_decode_at, _compiled_block,
+                                    _from_cache, _trace_entry],
+                         ids=lambda writer: writer.__name__.strip("_"))
+def test_reburn_clears_what_each_writer_stored(writer):
+    cpu = writer()
+    assert len(_stored(cpu)) == 1  # the writer's store is the only one
+    cpu.flash.load(0, [cpu.flash.word(0)])
+    assert _stored(cpu) == []
 
 
 # -- events landing mid-block -------------------------------------------------
