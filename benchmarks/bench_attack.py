@@ -4,7 +4,7 @@ The injection campaign is the repo's most network- and fault-heavy
 workload: each trial boots two nodes, delivers a malicious frame, and
 classifies the containment outcome.  This bench measures how fast the
 quick campaign (13 anchor trials) runs under the stepwise interpreter
-and the full JIT stack, and how much the hot-patch session costs
+and the traced tier, and how much the hot-patch session costs
 end-to-end.
 
 Correctness rides along: every timed campaign must reproduce the same
@@ -24,8 +24,7 @@ RESULTS_PATH = Path(__file__).resolve().parent.parent / \
 
 TIERS = {
     "stepwise": dict(fuse=False),
-    "fused": dict(fuse=True),
-    "traced": dict(trace=True),
+    "traced": dict(fuse=True),
 }
 
 
@@ -50,14 +49,6 @@ def test_inject_stepwise(benchmark):
     rate = len(result.trials) / benchmark.stats["mean"]
     print(f"\ninject, stepwise: {rate:.2f} trials/s")
     _record("inject_stepwise_trials_per_s", rate)
-
-
-def test_inject_fused(benchmark):
-    result = benchmark.pedantic(_campaign("fused"), rounds=3,
-                                iterations=1, warmup_rounds=1)
-    rate = len(result.trials) / benchmark.stats["mean"]
-    print(f"\ninject, fused: {rate:.2f} trials/s")
-    _record("inject_fused_trials_per_s", rate)
 
 
 def test_inject_traced(benchmark):

@@ -1,7 +1,7 @@
-"""Certificate-driven guard elision: elide on vs off, full JIT tiers.
+"""Certificate-driven guard elision: elide on vs off, traced tier.
 
-Two trap-heavy workloads run kernelized + fused + specialized + traced
-with ``KernelConfig.elide`` on and off:
+Two trap-heavy workloads run kernelized and traced (``fuse=True``, the
+default) with ``KernelConfig.elide`` on and off:
 
 * ``TRAP_MIX`` — the same all-PatchKind loop ``BENCH_trapspec.json``
   measures: heap stores/loads through X, displacement stores through

@@ -1,8 +1,7 @@
-"""Trace-JIT ablation: chained traces vs per-block specialization.
+"""Trace-JIT ablation: traces vs the stepwise oracle.
 
-The same two trap-heavy workloads as ``bench_trapspec.py`` run with the
-trace compiler on and off (everything else identical: fused,
-specialized):
+The same two trap-heavy workloads as ``bench_trapspec.py`` run traced
+(``fuse=True``, the default) and stepwise (``fuse=False``):
 
 * ``TRAP_LOOP`` — the SPIN shape the recorded kernelized baselines
   measure.  Traced, the whole nested loop runs inside two closures: the
@@ -13,7 +12,8 @@ specialized):
   loop body's eight trap sites chain under a single hoisted guard.
 
 Both modes must retire bit-identical state — tracing is a pure
-execution-speed knob.  Measured rates land in ``BENCH_trace.json``.
+execution-speed knob — and a traced run must chain blocks and
+specialize trap sites.  Measured rates land in ``BENCH_trace.json``.
 
 Extra modes for CI and tuning (no pytest plugin needed):
 
@@ -49,16 +49,19 @@ def _record(key: str, rate: float) -> None:
         json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
-def _run(workload: str, trace: bool, max_block_members=None):
+def _run(workload: str, fuse: bool, max_block_members=None):
     def run():
         node = SensorNode.from_sources(
-            [(workload, WORKLOADS[workload])], trace=trace,
+            [(workload, WORKLOADS[workload])], fuse=fuse,
             max_block_members=max_block_members, block_cache=False)
         node.run(max_instructions=10_000_000)
         assert node.finished
-        if trace:
-            stats = node.kernel.tracer.stats
-            assert stats.compiled > 0 or stats.store_hits > 0
+        tracer = node.kernel.tracer
+        if fuse and tracer.stats.store_hits == 0:
+            # Compiled in this process: blocks chain into traces and
+            # the trap sites on them are specialized.
+            assert tracer.chained
+            assert node.kernel.specializer.stats.compiled > 0
         return node
 
     return run
@@ -81,43 +84,44 @@ def _rate(benchmark, run, rounds: int = 3) -> float:
     return node.cpu.instret / benchmark.stats["mean"]
 
 
-def test_trap_loop_specialized(benchmark):
-    rate = _rate(benchmark, _run("trap_loop", trace=False))
-    print(f"\ntrap_loop, specialized: {rate / 1e6:.2f} M instr/s")
-    _record("trap_loop_specialized", rate)
+def test_trap_loop_stepwise(benchmark):
+    rate = _rate(benchmark, _run("trap_loop", fuse=False))
+    print(f"\ntrap_loop, stepwise: {rate / 1e6:.2f} M instr/s")
+    _record("trap_loop_stepwise", rate)
 
 
 def test_trap_loop_traced(benchmark):
-    rate = _rate(benchmark, _run("trap_loop", trace=True))
+    rate = _rate(benchmark, _run("trap_loop", fuse=True))
     print(f"\ntrap_loop, traced: {rate / 1e6:.2f} M instr/s")
     _record("trap_loop_traced", rate)
     _identical("trap_loop")
 
 
-def test_trap_mix_specialized(benchmark):
-    rate = _rate(benchmark, _run("trap_mix", trace=False))
-    print(f"\ntrap_mix, specialized: {rate / 1e6:.2f} M instr/s")
-    _record("trap_mix_specialized", rate)
+def test_trap_mix_stepwise(benchmark):
+    rate = _rate(benchmark, _run("trap_mix", fuse=False))
+    print(f"\ntrap_mix, stepwise: {rate / 1e6:.2f} M instr/s")
+    _record("trap_mix_stepwise", rate)
 
 
 def test_trap_mix_traced(benchmark):
-    rate = _rate(benchmark, _run("trap_mix", trace=True))
+    rate = _rate(benchmark, _run("trap_mix", fuse=True))
     print(f"\ntrap_mix, traced: {rate / 1e6:.2f} M instr/s")
     _record("trap_mix_traced", rate)
     _identical("trap_mix")
 
 
 def _quick() -> None:
-    """CI smoke: one timed pass per configuration — prove both modes
-    run, retire identical state, and the tracer actually engages."""
+    """CI smoke: one timed pass per configuration, no pytest plugin,
+    no BENCH_trace.json update — prove both modes run, retire identical
+    state, blocks chain into traces and the specializer engages."""
     import time
     for workload in WORKLOADS:
-        for trace in (True, False):
-            run = _run(workload, trace)
+        for fuse in (True, False):
+            run = _run(workload, fuse)
             started = time.perf_counter()
             node = run()
             elapsed = time.perf_counter() - started
-            mode = "traced" if trace else "specialized"
+            mode = "traced" if fuse else "stepwise"
             print(f"{workload}, {mode}: "
                   f"{node.cpu.instret / elapsed / 1e6:.2f} M instr/s")
         _identical(workload)
@@ -125,10 +129,10 @@ def _quick() -> None:
 
 
 def _sweep() -> None:
-    """Rate vs the superblock/trace fusion length cap."""
+    """Rate vs the trace fusion length cap."""
     import time
     for cap in (4, 8, 16, 32, 48, 64):
-        run = _run("trap_mix", trace=True, max_block_members=cap)
+        run = _run("trap_mix", fuse=True, max_block_members=cap)
         started = time.perf_counter()
         node = run()
         elapsed = time.perf_counter() - started
@@ -155,7 +159,7 @@ def _phase(which: str) -> None:
     assert os.environ.get("SENSMART_TRACE_STORE"), \
         "set SENSMART_TRACE_STORE to the store directory first"
     for workload in WORKLOADS:
-        node = _run(workload, trace=True)()
+        node = _run(workload, fuse=True)()
         stats = node.kernel.tracer.stats
         if which == "warm":
             assert stats.compiled == 0, \

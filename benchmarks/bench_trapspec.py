@@ -1,34 +1,24 @@
-"""Trap-specialization ablation: specialized vs generic trap dispatch.
-
-Two trap-heavy workloads run kernelized+fused with the specializing
-trap compiler on and off:
+"""Trap-heavy workloads shared by the trace, serve and dataflow benches.
 
 * ``TRAP_LOOP`` — the SPIN workload ``BENCH_interpreter.json``'s
   kernelized baseline was recorded on.  Every second retired
   instruction is a rewritten backward branch, so the run is one long
-  stream of BRANCH_BACKWARD traps; the specializer compiles the loop
-  into a single self-iterating closure.
+  stream of BRANCH_BACKWARD traps; the trace compiler strip-mines the
+  inner loop.
 * ``TRAP_MIX`` — a loop whose body is almost entirely rewritten memory
   accesses: heap stores/loads through X, displacement stores through Y,
   pushes/pops and a call/return pair, closed by a backward branch.
   Exercises every specialized PatchKind per iteration.
 
-Both modes must retire identical instruction counts and trap tallies —
-specialization is a pure execution-speed knob.  Measured rates land in
-``BENCH_trapspec.json`` at the repo root.
+``bench_trace.py`` times both traced (specialized trap fast paths)
+against stepwise (generic trap dispatch) and checks that they retire
+identical state.  ``BENCH_trapspec.json`` at the repo root holds the
+rates recorded when specialization was a separate per-block tier.
 """
-
-import json
-from pathlib import Path
-
-from repro.kernel import SensorNode
-
-RESULTS_PATH = Path(__file__).resolve().parent.parent / \
-    "BENCH_trapspec.json"
 
 # Same source as benchmarks/bench_superblock.py SPIN: the recorded
 # kernelized_fused baseline (1,361,466 instr/s at the time this bench
-# was added) measures exactly this program with specialization off.
+# was added) measures exactly this program.
 TRAP_LOOP = """
 main:
     ldi r26, 0
@@ -75,101 +65,3 @@ inner:
 helper:
     ret
 """
-
-WORKLOADS = {"trap_loop": TRAP_LOOP, "trap_mix": TRAP_MIX}
-
-
-def _record(key: str, rate: float) -> None:
-    data = {}
-    if RESULTS_PATH.exists():
-        data = json.loads(RESULTS_PATH.read_text())
-    data[key] = round(rate)
-    RESULTS_PATH.write_text(
-        json.dumps(data, indent=2, sort_keys=True) + "\n")
-
-
-def _run(workload: str, specialize: bool):
-    def run():
-        node = SensorNode.from_sources(
-            [(workload, WORKLOADS[workload])], fuse=True,
-            specialize=specialize, block_cache=False)
-        node.run(max_instructions=10_000_000)
-        assert node.finished
-        if specialize:
-            assert node.kernel.specializer.stats.compiled > 0
-        return node
-
-    return run
-
-
-def _identical(workload: str) -> None:
-    def digest(node):
-        kernel = node.kernel
-        return (node.cpu.instret, node.cpu.cycles, node.cpu.sp,
-                bytes(node.cpu.mem.data),
-                dict(kernel.stats.trap_counts),
-                kernel.stats.kernel_cycles,
-                kernel.stats.scheduler_checks)
-
-    assert digest(_run(workload, True)()) == \
-        digest(_run(workload, False)())
-
-
-def _rate(benchmark, run, rounds: int = 3) -> float:
-    node = benchmark.pedantic(run, rounds=rounds, iterations=1)
-    return node.cpu.instret / benchmark.stats["mean"]
-
-
-def test_trap_loop_generic(benchmark):
-    rate = _rate(benchmark, _run("trap_loop", specialize=False))
-    print(f"\ntrap_loop, generic: {rate / 1e6:.2f} M instr/s")
-    _record("trap_loop_generic", rate)
-
-
-def test_trap_loop_specialized(benchmark):
-    rate = _rate(benchmark, _run("trap_loop", specialize=True))
-    print(f"\ntrap_loop, specialized: {rate / 1e6:.2f} M instr/s")
-    _record("trap_loop_specialized", rate)
-    _identical("trap_loop")
-
-
-def test_trap_mix_generic(benchmark):
-    rate = _rate(benchmark, _run("trap_mix", specialize=False))
-    print(f"\ntrap_mix, generic: {rate / 1e6:.2f} M instr/s")
-    _record("trap_mix_generic", rate)
-
-
-def test_trap_mix_specialized(benchmark):
-    rate = _rate(benchmark, _run("trap_mix", specialize=True))
-    print(f"\ntrap_mix, specialized: {rate / 1e6:.2f} M instr/s")
-    _record("trap_mix_specialized", rate)
-    _identical("trap_mix")
-
-
-def _quick() -> None:
-    """CI smoke: one timed pass per configuration, no pytest plugin,
-    no BENCH_trapspec.json update — prove both modes run, retire
-    identical state, and the specializer actually engages."""
-    import time
-    for workload in WORKLOADS:
-        rates = {}
-        for specialize in (True, False):
-            run = _run(workload, specialize)
-            started = time.perf_counter()
-            node = run()
-            elapsed = time.perf_counter() - started
-            rates[specialize] = node.cpu.instret / elapsed
-            mode = "specialized" if specialize else "generic"
-            print(f"{workload}, {mode}: "
-                  f"{rates[specialize] / 1e6:.2f} M instr/s")
-        _identical(workload)
-    print("quick smoke OK")
-
-
-if __name__ == "__main__":
-    import sys
-    if "--quick" in sys.argv:
-        _quick()
-    else:
-        raise SystemExit(
-            "run under pytest, or pass --quick for the CI smoke")

@@ -273,19 +273,17 @@ def run_trial(shape: AttackShape, trial: Trial,
 def run_inject(quick: bool = False, seed: int = DEFAULT_SEED,
                shapes: Optional[Sequence[str]] = None,
                fuse: Optional[bool] = None,
-               specialize: Optional[bool] = None,
-               trace: Optional[bool] = None,
                elide: Optional[bool] = None) -> InjectResult:
     """Run the injection campaign and classify every trial.
 
     *quick* runs only the fixed anchor trials per shape; the full
     campaign adds :data:`RANDOM_TRIALS` seeded draws per shape.  The
-    tier overrides apply to the victim node (the machinery under test);
-    mallory always runs in the default tier — the attack bytes on the
-    air are identical either way.
+    tier overrides (*fuse*, *elide*; see
+    :meth:`~repro.kernel.node.SensorNode.from_sources`) apply to the
+    victim node (the machinery under test); mallory always runs in the
+    default tier — the attack bytes on the air are identical either way.
     """
-    tier = dict(fuse=fuse, specialize=specialize, trace=trace,
-                elide=elide)
+    tier = dict(fuse=fuse, elide=elide)
     selected = [s for s in SHAPES if shapes is None or s.name in shapes]
     randoms = 0 if quick else RANDOM_TRIALS
     books: Dict[str, AddressBook] = {}

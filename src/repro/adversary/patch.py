@@ -322,12 +322,14 @@ def cold_digest(source: str = WORKER_V2, **tier) -> str:
 
 def run_patch(quick: bool = False, seed: int = DEFAULT_SEED,
               fuse: Optional[bool] = None,
-              specialize: Optional[bool] = None,
-              trace: Optional[bool] = None,
               elide: Optional[bool] = None) -> PatchReport:
-    """Run the live hot-patch scenario end to end."""
-    tier = {k: v for k, v in dict(fuse=fuse, specialize=specialize,
-                                  trace=trace, elide=elide).items()
+    """Run the live hot-patch scenario end to end.
+
+    The tier overrides (*fuse*, *elide*; see
+    :meth:`~repro.kernel.node.SensorNode.from_sources`) apply to every
+    node but the updater.
+    """
+    tier = {k: v for k, v in dict(fuse=fuse, elide=elide).items()
             if v is not None}
     passes = 2 if quick else 3
     post_cycles = 300_000 if quick else POST_CYCLES

@@ -4,18 +4,20 @@ The interpreter pre-decodes flash words into Python closures the first
 time each address executes (flash is immutable during execution, paper
 assumption III-A), so the hot loop is a dictionary-free closure call.
 
-On top of the per-instruction thunks the CPU supports *superblock
-fusion* (``fuse=True``, the default): straight-line instruction runs are
-compiled — at first execution, with ``exec`` — into a single Python
-closure that executes the whole run with one dispatch, accumulates
-``cycles``/``instret`` once, and returns to the run loop only at block
-boundaries.  A block ends at (and includes) the first instruction with
-control-flow, stack-pointer, I/O-port, or interrupt-flag side effects,
-or ends *before* a trap-region word.  Interrupts, device alarms, run
-limits and ``until()`` are re-checked at block boundaries; exact
+Two execution modes share those thunks.  ``fuse=False`` steps them one
+instruction at a time: the stepwise oracle, which profiling also uses.
+``fuse=True`` (the default) dispatches *traces*: at first execution of a
+pc, :class:`~repro.avr.trace.TraceCompiler` compiles the block starting
+there, plus the blocks its direct branches chain into, into one Python
+closure with ``exec`` (see :mod:`repro.avr.trace`).  Instruction
+semantics are written twice, once per mode: the closures of
+:meth:`AvrCpu._build` and the member templates of
+:meth:`AvrCpu._member_parts` the trace compiler fuses.  Interrupts,
+device alarms, run limits and ``until()`` are re-checked between
+dispatches (and at every seam inside a trace); exact
 ``max_cycles``/``max_instructions`` stop semantics are preserved by
-falling back to single-instruction stepping when a block could cross a
-limit.
+falling back to single-instruction stepping when a trace's head block
+could cross a limit.
 
 Two integration points exist for the SenSmart kernel:
 
@@ -26,7 +28,7 @@ Two integration points exist for the SenSmart kernel:
 * *devices* registered with the CPU schedule :class:`~repro.sim.Event`
   callbacks on the CPU's event queue (the CPU is a
   :class:`~repro.sim.SimClock`); events fire between instructions
-  (between superblocks when fusing) and can raise interrupts or wake
+  (between dispatches when fusing) and can raise interrupts or wake
   the CPU from sleep.
 """
 
@@ -96,7 +98,7 @@ def _flags_logic(res: int) -> int:
     return f
 
 
-#: Default member cap per superblock: bounds how far the exact-stop
+#: Default member cap per trace block: bounds how far the exact-stop
 #: fallback (see :meth:`AvrCpu.run`) may have to single-step near a
 #: limit.  Per-CPU override via ``AvrCpu(max_block=...)`` /
 #: ``KernelConfig.max_block_members``.
@@ -104,39 +106,36 @@ _MAX_BLOCK = 48
 
 
 class _CachedBlock:
-    """One compiled superblock variant in a :class:`SuperblockCache`.
+    """One compiled trace variant in a :class:`SuperblockCache`.
 
     Holds the shareable compilation products: the code object, the
     site-specific flag tables it references, and the bookkeeping needed
-    to rebind it to another CPU (``term_addr`` for the generic-thunk
-    terminator, ``trap``/``spec_key`` for specialized trap terminators).
+    to rebind it to another CPU (``trap``/``spec_key`` for the chained
+    trap sites).
     """
 
-    __slots__ = ("code", "tables", "icount", "cost", "term_addr", "trap",
-                 "spec_key")
+    __slots__ = ("code", "tables", "icount", "cost", "trap", "spec_key")
 
-    def __init__(self, code, tables, icount, cost, term_addr, trap,
-                 spec_key):
+    def __init__(self, code, tables, icount, cost, trap, spec_key):
         self.code = code
         self.tables = tables
         self.icount = icount
         self.cost = cost
-        self.term_addr = term_addr
-        self.trap = trap          # (site, target, is_call) or None
-        self.spec_key = spec_key  # specialization constants, or None
+        self.trap = trap          # chained (site, target, is_call)s
+        self.spec_key = spec_key  # specialization constants
 
 
 class SuperblockCache:
-    """Cross-CPU superblock translation cache.
+    """Cross-CPU trace translation cache.
 
-    Superblock compilation depends only on the flash image, the data
-    memory size, the trap ranges, and — for specialized trap
-    terminators — the constants the specializer baked in.  All of that
-    is captured in the key ``(base_key, pc)`` plus the per-variant
-    ``spec_key``, so N nodes burned with the same image (the common
-    network-simulation shape) compile each hot block once and share the
-    code objects; every further node only pays an ``exec`` to rebind
-    the code to its own registers and memory.
+    Trace compilation depends only on the flash image, the data memory
+    size, the trap ranges, and — for chained trap sites — the constants
+    the specializer baked in.  All of that is captured in the key
+    ``(base_key, pc)`` plus the per-variant ``spec_key``, so N nodes
+    burned with the same image (the common network-simulation shape)
+    compile each hot trace once and share the code objects; every
+    further node only pays an ``exec`` to rebind the code to its own
+    registers and memory.
     """
 
     def __init__(self, max_groups: int = 16384):
@@ -167,7 +166,7 @@ _GLOBAL_BLOCK_CACHE = SuperblockCache()
 
 # -- precomputed SREG tables for fused code ------------------------------------
 #
-# Superblock members replace the branchy flag computations of the
+# Trace members replace the branchy flag computations of the
 # per-instruction closures with one table index.  Every table is built
 # from the same _flags_* helpers the closures use, so the two execution
 # modes cannot disagree.  The 64K add/sub tables are built lazily on the
@@ -281,9 +280,9 @@ class AvrCpu(SimClock):
                  clock_hz: int = 7_372_800, fuse: bool = True,
                  block_cache=None, max_block: int = _MAX_BLOCK):
         """*block_cache*: ``None`` joins the process-wide
-        :class:`SuperblockCache`, ``False`` disables cross-CPU block
+        :class:`SuperblockCache`, ``False`` disables cross-CPU trace
         sharing, or pass an explicit cache instance.  *max_block* caps
-        the members fused per superblock (and per trace segment)."""
+        the members fused per trace block."""
         SimClock.__init__(self)
         self.flash = flash
         self.mem = memory if memory is not None else DataMemory()
@@ -298,7 +297,7 @@ class AvrCpu(SimClock):
         self.halted = False
         self._exec: List[Optional[Callable[[], None]]] = \
             [None] * flash.size_words
-        #: Superblock cache: pc -> (closure, instructions, member cycles).
+        #: Trace entries: pc -> (closure, instructions, member cycles).
         self._blocks: List[Optional[Tuple]] = [None] * flash.size_words
         #: True once _exec or _blocks holds an entry stored since the
         #: last invalidate_decode(), which clears only when it is set.
@@ -310,7 +309,6 @@ class AvrCpu(SimClock):
         self._trap_hi = -1
         self._trap_handler: Optional[Callable] = None
         self._trap_thunk_factory: Optional[Callable] = None
-        self._trap_inline_factory: Optional[Callable] = None
         if block_cache is None:
             self._block_cache: Optional[SuperblockCache] = \
                 _GLOBAL_BLOCK_CACHE
@@ -320,17 +318,17 @@ class AvrCpu(SimClock):
             self._block_cache = block_cache
         self._cache_base_key = None  # lazy (fingerprint, ...) tuple
         self._max_block = max_block
-        #: Optional trace compiler (repro.avr.trace.TraceCompiler);
-        #: consulted by _fuse_block before plain superblock fusion.
+        #: Trace compiler (repro.avr.trace.TraceCompiler) serving
+        #: _fuse_block; built on first use unless one was installed.
         self._tracer = None
-        # Run limits as seen by self-looping superblocks; _run_fused
-        # refreshes them on every run() call.
+        # Run limits as seen by traces; run() publishes them on every
+        # call.
         self._run_mc = float("inf")
         self._run_mi = float("inf")
         self._run_until: Optional[Callable] = None
         self.profile: Optional[List[int]] = None  # per-PC hit counts
         # Any later re-burn of flash (dynamic loading) must drop decoded
-        # thunks and fused blocks, even if the burner forgets to ask.
+        # thunks and trace entries, even if the burner forgets to ask.
         flash.add_burn_listener(self.invalidate_decode)
 
     # -- configuration --------------------------------------------------------
@@ -345,8 +343,7 @@ class AvrCpu(SimClock):
         device.attach(self)
 
     def set_trap_region(self, lo: int, hi: int, handler,
-                        thunk_factory: Optional[Callable] = None,
-                        inline_factory: Optional[Callable] = None) -> None:
+                        thunk_factory: Optional[Callable] = None) -> None:
         """Route execution entering flash words [*lo*, *hi*) to *handler*.
 
         ``handler(cpu, site, target, is_call)`` receives the word address of
@@ -355,34 +352,23 @@ class AvrCpu(SimClock):
         address, and whether the site used ``CALL`` semantics.
 
         ``thunk_factory(cpu, site, target, is_call)``, when given, may
-        return a specialized closure for a patched site, resolved once at
-        decode time (the kernel uses this to pre-bind its dispatch);
-        returning ``None`` falls back to calling *handler*.
-
-        ``inline_factory(cpu, site, target, is_call, invalidate,
-        block=None)``, when given, may return ``(lines, bindings,
-        spec_key, full_body)`` — Python statements the superblock
-        compiler splices in as the block's terminator in place of the
-        thunk call, the namespace entries they need, a hashable key of
-        the constants they bake in, and whether the statements are the
-        whole closure body (a self-looping trap given the block's
-        *block* description; see :meth:`repro.kernel.specialize
-        .TrapSpecializer.inline_source`).
+        return a closure for a patched site, resolved once at decode time
+        (the kernel uses this to pre-bind its dispatch); returning
+        ``None`` falls back to calling *handler*.  Traces call these
+        thunks too, for a trap they do not chain.
         """
         self._trap_ranges = [(lo, hi)]
         self._trap_handler = handler
         self._trap_thunk_factory = thunk_factory
-        self._trap_inline_factory = inline_factory
         self._update_trap_envelope()
-        # Invalidate decoded thunks and fused blocks: targets may now trap.
+        # Invalidate decoded thunks and traces: targets may now trap.
         self.invalidate_decode()
 
     def set_tracer(self, tracer) -> None:
-        """Install a trace compiler; ``_fuse_block`` consults it first.
+        """Install the trace compiler that serves ``_fuse_block``.
 
-        ``tracer.entry_for(pc)`` may return a ``(closure, icount, cost)``
-        dispatch entry covering several chained superblocks, or ``None``
-        to fall back to plain fusion.
+        ``tracer.entry_for(pc)`` returns the ``(closure, icount, cost)``
+        dispatch entry for the trace headed at *pc*.
         """
         self._tracer = tracer
         self.invalidate_decode()
@@ -407,7 +393,7 @@ class AvrCpu(SimClock):
         return any(lo <= address < hi for lo, hi in self._trap_ranges)
 
     def invalidate_decode(self) -> None:
-        """Drop decoded closures and fused blocks (after re-burning flash).
+        """Drop decoded closures and trace entries (after re-burning flash).
 
         Clears the caches *in place*: the run loop keeps direct references
         to them, and a trap handler may invalidate mid-run (dynamic task
@@ -425,7 +411,8 @@ class AvrCpu(SimClock):
     def enable_profiling(self) -> None:
         """Count executions per PC (Avrora-style flat profile).
 
-        Adds one array increment per instruction; enable only when the
+        Adds one array increment per instruction, and a profiled CPU
+        runs stepwise even with ``fuse=True``; enable only when the
         profile is wanted.
         """
         self.profile = [0] * self.flash.size_words
@@ -525,7 +512,7 @@ class AvrCpu(SimClock):
         if self.cycles >= self.events.next_due and not self.halted:
             self.events.run_due(self.cycles)
         try:
-            if self.fuse:
+            if self.fuse and self.profile is None:
                 self._run_fused(max_cycles, max_instructions, until)
             else:
                 self._run_stepwise(max_cycles, max_instructions, until)
@@ -557,17 +544,18 @@ class AvrCpu(SimClock):
                 return
 
     def _run_fused(self, max_cycles, max_instructions, until) -> None:
-        """Superblock dispatch: one closure call per straight-line run.
+        """Trace dispatch: one closure call per trace entry.
 
         Interrupts, due events, limits and ``until()`` are checked
-        once per block.  A block that could cross ``max_cycles`` or
+        once per dispatch (and by the trace at every seam).  A trace
+        whose head block could cross ``max_cycles`` or
         ``max_instructions`` is not dispatched; the loop single-steps
         instead, so the stop point is bit-identical to stepwise mode.
         """
         blocks = self._blocks  # cleared in place by invalidate_decode
         irqs = self._pending_irqs
         events = self.events
-        mc = self._run_mc  # published by run() for self-looping blocks
+        mc = self._run_mc  # published by run() for traces
         mi = self._run_mi
         while not self.halted:
             if self.sleeping:
@@ -655,236 +643,31 @@ class AvrCpu(SimClock):
         size = self.flash.instruction_size(after)
         return size, after + size
 
-    # -- superblock fusion --------------------------------------------------------
+    # -- trace dispatch entries ------------------------------------------------
 
     def _fuse_block(self, pc: int) -> Tuple[Callable[[], None], int, int]:
-        """Fuse the straight-line run starting at *pc* into one closure.
+        """The dispatch entry for *pc*: its trace, compiled or rebound.
 
-        Members are emitted as inline Python source and compiled with
-        ``exec``; the terminating instruction (control flow / SP / I/O /
-        interrupt-flag side effects) executes through its normal thunk —
-        or is inlined too for the hot unconditional/conditional branches
-        and, when an ``inline_factory`` is registered, for trap sites
-        (the specialized trap code becomes the block terminator).
-        Cycle accumulation order matches stepwise execution exactly:
-        member cycles land on the clock *before* the terminator runs, so
-        terminators (and trap handlers) observe identical ``cpu.cycles``.
-
-        Compiled blocks are shared through the :class:`SuperblockCache`
-        (keyed by flash fingerprint, memory size, trap ranges, pc, and
-        the trap specialization key), so an identically-burned CPU
-        rebinds the cached code object instead of recompiling.
-
-        Returns and caches ``(closure, instruction_count, member_cycles)``.
+        Returns and caches ``(closure, instruction_count, head_cycles)``.
         """
-        if self._tracer is not None and self.profile is None:
-            entry = self._tracer.entry_for(pc)
-            if entry is not None:
-                self._blocks[pc] = entry
-                self._decoded = True
-                return entry
-        base = self._cache_base()
-        if base is not None:
-            entry = self._from_cache(base, pc)
-            if entry is not None:
-                return entry
-        namespace = {
-            "cpu": self, "r": self.r, "mem": self.mem.data,
-            "flash": self.flash, "profile": self.profile,
-            "lf": _LOGIC_TABLE, "incf": _INC_TABLE, "decf": _DEC_TABLE,
-            "lsrf": _LSR_TABLE, "asrf": _ASR_TABLE, "negf": _NEG_TABLE,
-            "rorf0": _ROR_TABLES[0], "rorf1": _ROR_TABLES[1],
-        }
-        lines: List[str] = []
-        member_addrs: List[int] = []
-        cost = 0
-        uses_sreg = False
-        cur = pc
-        term = None
-        term_ins = None
-        trap_info = None
-        while len(member_addrs) < self._max_block:
-            if self.in_trap_region(cur):
-                break  # never fuse across a trap-region boundary
-            if cur == pc:
-                # First instruction: decode errors surface exactly as in
-                # stepwise execution (and the thunk doubles as fallback).
-                ins = self._decode_instruction(pc)
-            else:
-                try:
-                    ins = self._decode_instruction(cur)
-                except (InvalidInstruction, MemoryFault):
-                    break  # stop fusing; raise only if actually reached
-            member = self._member_src(ins, namespace, len(member_addrs))
-            if member is None:
-                term = self._exec[cur]
-                if term is None:
-                    term = self._decode_at(cur)
-                term_ins = ins
-                if ins.mnemonic in ("JMP", "CALL") and \
-                        self.in_trap_region(ins.operands[0]):
-                    trap_info = (ins.address, ins.operands[0],
-                                 ins.mnemonic == "CALL")
-                break
-            src, cycles, touches_sreg = member
-            lines.extend(src)
-            member_addrs.append(cur)
-            cost += cycles
-            uses_sreg = uses_sreg or touches_sreg
-            cur = ins.next_address
-
-        count = len(member_addrs)
-        body: Optional[List[str]] = None
-        spec_key = None
-        term_addr: Optional[int] = None
-        trap_spec = None
-        if trap_info is not None and self.profile is None and \
-                self._trap_inline_factory is not None:
-            site, target, is_call = trap_info
-            trap_spec = self._trap_inline_factory(
-                self, site, target, is_call,
-                invalidate=f"k_bl[{pc}] = None",
-                block=(pc, lines, cost, count, uses_sreg))
-        if trap_spec is not None:
-            trap_lines, trap_bindings, spec_key, trap_full = trap_spec
-            namespace.update(trap_bindings)
-            if trap_full:
-                # The factory produced a complete closure body (a
-                # self-looping backward-branch trap): members, guard
-                # and all accounting live inside it.
-                body = list(trap_lines)
-                icount = count + 1
-        if body is None and term_ins is not None and self.profile is None:
-            body = self._self_loop_body(term_ins, lines, cost, count,
-                                        uses_sreg, pc)
-            if body is not None:
-                icount = count + 1
-        if body is None:
-            body = []
-            if uses_sreg:
-                body.append("sr = cpu.sreg")
-            body.extend(lines)
-            if self.profile is not None:
-                for address in member_addrs:
-                    body.append(f"profile[{address}] += 1")
-            if uses_sreg:
-                body.append("cpu.sreg = sr")
-            if trap_spec is not None:
-                if cost:
-                    body.append(f"cpu.cycles += {cost}")
-                if count:
-                    body.append(f"cpu.instret += {count}")
-                body.extend(trap_lines)
-                body.append("cpu.instret += 1")
-                icount = count + 1
-            else:
-                inline_term = None
-                if term_ins is not None and self.profile is None:
-                    inline_term = self._inline_term_src(term_ins, cost,
-                                                        count, uses_sreg)
-                if inline_term is not None:
-                    body.extend(inline_term)
-                    icount = count + 1
-                elif term is not None:
-                    if cost:
-                        body.append(f"cpu.cycles += {cost}")
-                    if count:
-                        body.append(f"cpu.instret += {count}")
-                    body.append("t()")
-                    body.append("cpu.instret += 1")
-                    icount = count + 1
-                    term_addr = cur
-                else:
-                    # Block stopped before a trap region / undecodable
-                    # word / the member cap: leave pc on the next
-                    # unexecuted word.
-                    body.append(f"cpu.pc = {cur}")
-                    if cost:
-                        body.append(f"cpu.cycles += {cost}")
-                    body.append(f"cpu.instret += {count}")
-                    icount = count
-        namespace["t"] = term
-        source = "def _blk():\n" + "\n".join(
-            "    " + line for line in body)
-        code = compile(source, f"<superblock@{pc:#06x}>", "exec")
-        exec(code, namespace)
-        entry = (namespace["_blk"], icount, cost)
+        tracer = self._tracer
+        if tracer is None:
+            from .trace import TraceCompiler  # trace.py imports this module
+            tracer = self._tracer = TraceCompiler(self)
+        entry = tracer.entry_for(pc)
         self._blocks[pc] = entry
         self._decoded = True
-        if base is not None:
-            tables = {name: value for name, value in namespace.items()
-                      if name[0] in "tu" and name[1:].isdigit()}
-            self._block_cache.store(base, pc, _CachedBlock(
-                code=code, tables=tables, icount=icount, cost=cost,
-                term_addr=term_addr, trap=trap_info, spec_key=spec_key))
         return entry
 
     def _cache_base(self):
-        """Cross-CPU cache key prefix, or None when caching is off.
-
-        Profiling wraps per-instruction thunks and emits per-member
-        counter lines, so profiled compilations never enter the cache.
-        """
-        if self._block_cache is None or self.profile is not None:
+        """Cross-CPU cache key prefix, or None when caching is off."""
+        if self._block_cache is None:
             return None
         if self._cache_base_key is None:
             self._cache_base_key = (self.flash.fingerprint(),
                                     self.mem.size,
                                     tuple(self._trap_ranges))
         return self._cache_base_key
-
-    def _from_cache(self, base, pc: int):
-        """Rebind a cached superblock to this CPU, or None on miss.
-
-        A trap-terminated group may hold several variants: the generic
-        thunk-calling block (``spec_key None``) plus one per
-        specialization the factory produced.  The factory is consulted
-        first so this CPU lands on the variant matching its *current*
-        constants; a missing variant falls through to a full fuse,
-        which stores it for the next node.
-        """
-        cache = self._block_cache
-        group = cache.groups.get((base, pc))
-        if group is None:
-            cache.misses += 1
-            return None
-        trap = next((block.trap for block in group.values()
-                     if block.trap is not None), None)
-        spec_key = None
-        bindings = None
-        if trap is not None and self._trap_inline_factory is not None:
-            site, target, is_call = trap
-            result = self._trap_inline_factory(
-                self, site, target, is_call,
-                invalidate=f"k_bl[{pc}] = None")
-            if result is not None:
-                _, bindings, spec_key, _ = result
-        block = group.get(spec_key)
-        if block is None:
-            cache.misses += 1
-            return None
-        cache.hits += 1
-        ns = {
-            "cpu": self, "r": self.r, "mem": self.mem.data,
-            "flash": self.flash, "profile": None,
-            "lf": _LOGIC_TABLE, "incf": _INC_TABLE, "decf": _DEC_TABLE,
-            "lsrf": _LSR_TABLE, "asrf": _ASR_TABLE, "negf": _NEG_TABLE,
-            "rorf0": _ROR_TABLES[0], "rorf1": _ROR_TABLES[1],
-        }
-        ns.update(block.tables)
-        if spec_key is not None:
-            ns.update(bindings)
-        term = None
-        if block.term_addr is not None:
-            term = self._exec[block.term_addr]
-            if term is None:
-                term = self._decode_at(block.term_addr)
-        ns["t"] = term
-        exec(block.code, ns)
-        entry = (ns["_blk"], block.icount, block.cost)
-        self._blocks[pc] = entry
-        self._decoded = True
-        return entry
 
     def _decode_instruction(self, pc: int) -> Instruction:
         word = self.flash.word(pc)
@@ -895,28 +678,19 @@ class AvrCpu(SimClock):
         except EncodingError:
             raise InvalidInstruction(pc, word) from None
 
-    def _member_src(self, ins: Instruction, ns: dict, uid: int):
+    def _member_parts(self, ins: Instruction, ns: dict, uid: int):
         """Inline source for a fusible instruction, or None.
 
-        Returns ``(lines, cycles, touches_sreg)``.  Fusible means: fixed
-        cycle cost, sequential control flow, and no side effects outside
-        registers, SREG (I excluded), and static SRAM — anything that
-        touches SP, an I/O port, the I flag, or a dynamic address stays
-        a block terminator so device hooks and interrupt delivery keep
-        instruction-boundary semantics.  Member templates compute the
-        exact SREG bits of the closures in :meth:`_build` — mostly via
-        the precomputed flag tables — and keep the status register in
-        the block-local ``sr``.  Site-specific tables are bound into
-        *ns* under names derived from *uid*.
-        """
-        parts = self._member_parts(ins, ns, uid)
-        if parts is None:
-            return None
-        effect, flags, cycles, touches, _ = parts
-        return (effect + flags, cycles, touches)
-
-    def _member_parts(self, ins: Instruction, ns: dict, uid: int):
-        """Split member source for the trace compiler, or None.
+        Fusible means: fixed cycle cost, sequential control flow, and no
+        side effects outside registers, SREG (I excluded), and static
+        SRAM — anything that touches SP, an I/O port, the I flag, or a
+        dynamic address stays a block terminator so device hooks and
+        interrupt delivery keep instruction-boundary semantics.  Member
+        templates compute the exact SREG bits of the closures in
+        :meth:`_build` — mostly via the precomputed flag tables — and
+        keep the status register in the trace-local ``sr``.
+        Site-specific tables are bound into *ns* under names derived
+        from *uid*.
 
         Returns ``(effect_lines, flag_lines, cycles, touches_sreg,
         preds)``: the register/memory effect, the (separable) SREG
@@ -924,9 +698,7 @@ class AvrCpu(SimClock):
         dict of flag-bit -> predicate expression valid *after* the
         effect lines — used by traces to test a branch condition
         directly on the result and defer (or elide) the flag
-        computation.  ``effect + flags`` is exactly the
-        :meth:`_member_src` line list, so both tiers compile identical
-        semantics from one template.
+        computation.
         """
         m = ins.mnemonic
         ops = ins.operands
@@ -1148,108 +920,6 @@ class AvrCpu(SimClock):
                     1, True, {})
         if m in ("NOP", "WDR"):
             return ([], [], 1, False, {})
-        return None
-
-    def _self_loop_body(self, ins: Instruction, members: List[str],
-                        cost: int, count: int, uses_sreg: bool,
-                        start: int) -> Optional[List[str]]:
-        """Complete closure body for a block that branches back to its
-        own start, or None if *ins* is not such a backward branch.
-
-        The closure iterates internally, so tight spin loops pay the
-        dispatch cost once.  Every observable boundary check of
-        :meth:`_run_fused` is replicated per iteration: the exit guard
-        tests the device alarm and applies the same exact-stop
-        conditions against the run limits (published by ``run()`` as
-        ``_run_mi``/``_run_mc``); a pending ``until()`` predicate forces
-        an exit after one iteration so the run loop evaluates it.
-        Nothing else can change mid-block — devices, traps and
-        interrupts only get control between dispatches — so ``cycles``,
-        ``instret`` and SREG can live in locals until exit.
-        """
-        m = ins.mnemonic
-        if m in ("BRBS", "BRBC"):
-            s, k = ins.operands
-            if ins.next_address + k != start:
-                return None
-            mask = 1 << s
-            flags = "sr" if uses_sreg else "cpu.sreg"
-            taken = f"{flags} & {mask}" if m == "BRBS" \
-                else f"not ({flags} & {mask})"
-            taken_cycles, fall_cycles = cost + 2, cost + 1
-        elif m == "RJMP" and ins.next_address + ins.operands[0] == start:
-            taken = None
-            taken_cycles = cost + 2
-        else:
-            return None
-        body = []
-        if uses_sreg:
-            body.append("sr = cpu.sreg")
-        body += ["cy = cpu.cycles",
-                 "n = cpu.instret",
-                 # No event can be scheduled mid-block (members touch
-                 # neither I/O nor SP), so next_due is loop-invariant;
-                 # -1 forces an exit after one iteration when until()
-                 # must be evaluated.
-                 "da = -1.0 if cpu._run_until is not None "
-                 "else cpu.events.next_due",
-                 "mi = cpu._run_mi",
-                 "mc = cpu._run_mc",
-                 "while True:"]
-        inner = list(members)
-        guard = [f"cy += {taken_cycles}",
-                 f"n += {count + 1}",
-                 f"if cy >= da or n + {count + 1} > mi "
-                 f"or cy + {cost} >= mc:",
-                 f"    cpu.pc = {start}",
-                 "    break"]
-        if taken is None:
-            inner += guard
-        else:
-            inner += ([f"if {taken}:"]
-                      + ["    " + line for line in guard]
-                      + ["else:",
-                         f"    cpu.pc = {ins.next_address}",
-                         f"    cy += {fall_cycles}",
-                         f"    n += {count + 1}",
-                         "    break"])
-        body += ["    " + line for line in inner]
-        if uses_sreg:
-            body.append("cpu.sreg = sr")
-        body += ["cpu.cycles = cy", "cpu.instret = n"]
-        return body
-
-    def _inline_term_src(self, ins: Instruction, cost: int, count: int,
-                         uses_sreg: bool) -> Optional[List[str]]:
-        """Inline source for hot block terminators (branches, RJMP).
-
-        Folds the members' cycle total into each arm so the epilogue is
-        a single pc/cycles/instret update.  When the members kept SREG
-        in the local ``sr``, the branch tests that local directly.
-        """
-        m = ins.mnemonic
-        if m in ("BRBS", "BRBC"):
-            s, k = ins.operands
-            mask = 1 << s
-            target = ins.next_address + k
-            flags = "sr" if uses_sreg else "cpu.sreg"
-            test = f"{flags} & {mask}" if m == "BRBS" \
-                else f"not ({flags} & {mask})"
-            return [f"if {test}:",
-                    f"    cpu.pc = {target}",
-                    f"    cpu.cycles += {cost + 2}",
-                    "else:",
-                    f"    cpu.pc = {ins.next_address}",
-                    f"    cpu.cycles += {cost + 1}",
-                    f"cpu.instret += {count + 1}"]
-        if m == "RJMP":
-            (k,) = ins.operands
-            target = ins.next_address + k
-            if self.in_trap_region(target):
-                return None  # cannot happen for RJMP sites, but be safe
-            return [f"cpu.pc = {target}",
-                    f"cpu.cycles += {cost + 2}",
-                    f"cpu.instret += {count + 1}"]
         return None
 
     def _build(self, ins: Instruction) -> Callable[[], None]:

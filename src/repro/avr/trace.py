@@ -1,23 +1,19 @@
-"""Trace JIT: direct-threaded chaining of compiled superblocks.
+"""Trace JIT: the CPU's one fused code generator.
 
-The superblock tier (:meth:`AvrCpu._fuse_block`) compiles straight-line
-runs but still returns to the dispatch loop between every block: a hot
-multi-block loop pays a full dispatch round-trip — limit checks, event
-check, IRQ check, attribute traffic on ``cycles``/``instret``/``sreg`` —
-per *block* instead of per loop.  This module chains blocks whose
-terminators are direct transfers (unconditional jumps, conditional
-branches, ``SBRS``/``SBRC`` skips, and the specialized trap fast paths)
-into one ``exec``-compiled closure, so the whole loop executes with
-locals-only state:
+With ``fuse=True`` every dispatch entry of :meth:`AvrCpu._fuse_block`
+is a trace compiled here: the head block plus the blocks its direct
+transfers chain into (unconditional jumps, conditional branches,
+``SBRS``/``SBRC`` skips, and the specialized trap fast paths), as one
+``exec``-compiled closure, so a hot loop executes with locals-only
+state:
 
 * ``cy``/``n``/``sr`` shadow ``cycles``/``instret``/``sreg``;
 * every *seam* between chained blocks replicates the dispatch loop's
   exact-stop check (``da``/``mi``/``mc``), so limits, due events and
   ``until()`` observe bit-identical boundaries;
-* specialized trap sites (see :class:`~repro.kernel.specialize
-  .TrapSpecializer`) chain through their fast arms; every slow arm
-  flushes the locals and exits through the generic dispatch, exactly as
-  a stand-alone specialized block would;
+* specialized trap sites (site facts from :class:`~repro.kernel
+  .specialize.TrapSpecializer`) chain through their fast arms; every
+  slow arm flushes the locals and exits through the generic dispatch;
 * one task/epoch guard is hoisted to trace entry (all chained sites
   belong to one task, and nothing mid-trace can retire the task or move
   a region), deoptimizing to a generic execution of the head block;
@@ -32,18 +28,25 @@ locals-only state:
   predicate directly and the flag lines materialize only on trace exits
   that did not kill them.
 
-Mid-trace safety rests on the same invariants as superblock fusion:
-members never touch I/O, SP (outside specialized trap code), or the I
-flag.  The one device access a trace makes is an I/O-class direct
-(``LDS``/``STS``) trap site, which publishes ``cy``/``n`` before the
-access (device hooks read the clock) and re-reads the event horizon
-after it (hooks schedule and cancel events), forcing an exit at the
-next seam once an interrupt is pending; so every seam still sees the
-exact next due event.  Direct accesses to SP or SREG (which the trace
-shadows in ``sr``), SEI, RETI, ``IN``/``OUT``, ``CPSE``/``SBIC``/
-``SBIS``, indirect jumps and calls all end a trace.  An ``SBRS``/
-``SBRC`` skip chains as a two-way node: the fall-through continues,
-the skip exits (or closes the loop).
+A trace may be a single block.  Its head may also end where no later
+block could: a *thunk* head ends in a terminator the chain cannot take
+(``RET``/``RETI``, indirect jumps and calls, ``IN``/``OUT``, ``CPSE``/
+``SBIC``/``SBIS``, ``SLEEP``, ``BREAK``, ``SEI``, a trap without trace
+facts) and runs it through its decoded thunk after flushing the
+members' state; a *cut* head stops at the member cap, before a
+trap-region word or before an undecodable word, and flushes to the
+next unexecuted word.  A block after the head that ends either way is
+not chained: the trace exits before it.
+
+Mid-trace safety rests on one invariant: members never touch I/O, SP
+(outside specialized trap code), or the I flag.  The one device access
+a trace makes is an I/O-class direct (``LDS``/``STS``) trap site, which
+publishes ``cy``/``n`` before the access (device hooks read the clock)
+and re-reads the event horizon after it (hooks schedule and cancel
+events), forcing an exit at the next seam once an interrupt is pending;
+so every seam still sees the exact next due event.  Direct accesses to
+SP or SREG (which the trace shadows in ``sr``) end a trace like any
+other unchainable terminator.
 
 Compiled traces are shared across CPUs through the in-process
 :class:`~repro.avr.cpu.SuperblockCache` (key-prefixed ``"trace"``) and,
@@ -81,7 +84,7 @@ _MAX_STRIP = 16_777_216
 
 #: On-disk artifact format version; any change to the generated source
 #: conventions or the artifact schema must bump this.
-STORE_VERSION = 2
+STORE_VERSION = 3
 
 #: I/O addresses a direct access to which ends the trace: SREG lives in
 #: the ``sr`` local, and SPL/SPH are virtualized against the task's
@@ -94,7 +97,7 @@ class TraceStats:
     """Observability for tests, benchmarks and ``sensmart run --stats``."""
 
     compiled: int = 0      # traces compiled from scratch in this process
-    declined: int = 0      # entry points where chaining was not worthwhile
+    declined: int = 0      # always 0: every block compiles to a trace
     cache_hits: int = 0    # rebinds served by the in-process cache
     store_hits: int = 0    # recompiles served by the persistent store
     store_misses: int = 0  # store lookups that found no usable artifact
@@ -103,8 +106,7 @@ class TraceStats:
 def _base_ns(cpu) -> dict:
     """The namespace every generated trace closure is exec'd against."""
     return {
-        "cpu": cpu, "r": cpu.r, "mem": cpu.mem.data,
-        "flash": cpu.flash, "profile": None,
+        "cpu": cpu, "r": cpu.r, "mem": cpu.mem.data, "flash": cpu.flash,
         "lf": _LOGIC_TABLE, "incf": _INC_TABLE, "decf": _DEC_TABLE,
         "lsrf": _LSR_TABLE, "asrf": _ASR_TABLE, "negf": _NEG_TABLE,
         "rorf0": _ROR_TABLES[0], "rorf1": _ROR_TABLES[1],
@@ -175,7 +177,8 @@ class _Node:
         self.members = members
         self.count = len(members)
         self.cost = sum(m.cycles for m in members)
-        self.kind = None        # "brcond" | "skip" | "jmp" | "trap"
+        self.kind = None        # "brcond" | "skip" | "jmp" | "trap", or
+                                # a head-only "thunk" | "cut"
         self.facts = None       # TraceFacts for trap terminators
         self.cont = None        # in-trace successor address, or None
         self.bit = None         # SREG bit tested; register bit for skips
@@ -183,7 +186,8 @@ class _Node:
         self.branch_if_set = False
         self.taken = None
         self.fall = None
-        self.target = None
+        self.target = None      # jmp target; thunk terminator address;
+                                # cut resume address
         self.jcycles = 0        # terminator cycles when taken
         self.nat_target = None
         self.strip = False       # self-looping branch trap: strip-mine
@@ -311,13 +315,14 @@ class TraceStore:
 
 
 class TraceCompiler:
-    """Assembles, compiles, caches and rebinds multi-block traces.
+    """Assembles, compiles, caches and rebinds traces.
 
-    Installed on the CPU via :meth:`AvrCpu.set_tracer`;
-    :meth:`entry_for` is consulted by ``_fuse_block`` before plain
-    fusion and returns a ``(closure, icount, cost)`` dispatch entry (the
-    head block's counts, so the dispatch-loop exact-stop check covers
-    the head and seams cover the rest) or ``None`` to decline.
+    Installed on the CPU via :meth:`AvrCpu.set_tracer` (a bare CPU
+    builds one without a specializer on first use);
+    :meth:`entry_for` serves every ``_fuse_block`` call with a
+    ``(closure, icount, cost)`` dispatch entry: the head block's counts,
+    so the dispatch-loop exact-stop check covers the head and seams
+    cover the rest.
     """
 
     def __init__(self, cpu, specializer=None, store: Optional[TraceStore]
@@ -336,8 +341,6 @@ class TraceCompiler:
 
     def entry_for(self, pc: int):
         cpu = self.cpu
-        if cpu.profile is not None:
-            return None  # profiled runs count per-PC: stay per-block
         mem_base = cpu._cache_base()
         if mem_base is not None:
             cache = cpu._block_cache
@@ -449,8 +452,7 @@ class TraceCompiler:
             self.cpu._block_cache.store(
                 ("trace",) + mem_base, pc,
                 _CachedBlock(code=code, tables=tables, icount=icount,
-                             cost=cost, term_addr=None, trap=sites,
-                             spec_key=key))
+                             cost=cost, trap=sites, spec_key=key))
         return entry
 
     # -- compilation --------------------------------------------------------------
@@ -458,11 +460,7 @@ class TraceCompiler:
     def _compile(self, pc: int, mem_base):
         ns = _base_ns(self.cpu)
         manifest: List[list] = []
-        built = self._assemble(pc, ns, manifest)
-        if built is None:
-            self.stats.declined += 1
-            return None
-        nodes, tail = built
+        nodes, tail = self._assemble(pc, ns, manifest)
         source = _Emitter(nodes, tail).source()
         sites = tuple((node.facts.site, node.facts.target,
                        node.facts.is_call)
@@ -474,7 +472,9 @@ class TraceCompiler:
         self._bind(ns, task, kinds)
         exec(code, ns)
         head = nodes[0]
-        entry = (ns["_blk"], head.count + 1, head.cost)
+        # A cut head has no terminator: it retires its members only.
+        icount = head.count if head.kind == "cut" else head.count + 1
+        entry = (ns["_blk"], icount, head.cost)
         self.stats.compiled += 1
         self.chained.update(node.start for node in nodes[1:])
         if self.specializer is not None and sites:
@@ -485,11 +485,10 @@ class TraceCompiler:
         if mem_base is not None:
             self.cpu._block_cache.store(
                 ("trace",) + mem_base, pc,
-                _CachedBlock(code=code, tables=tables,
-                             icount=head.count + 1, cost=head.cost,
-                             term_addr=None, trap=sites, spec_key=key))
+                _CachedBlock(code=code, tables=tables, icount=icount,
+                             cost=head.cost, trap=sites, spec_key=key))
         if self.store is not None:
-            artifact = {"source": source, "icount": head.count + 1,
+            artifact = {"source": source, "icount": icount,
                         "cost": head.cost,
                         "sites": [list(site) for site in sites],
                         "tables": manifest}
@@ -499,13 +498,11 @@ class TraceCompiler:
     def _assemble(self, head: int, ns: dict, manifest):
         """Walk the chain of blocks starting at *head*.
 
-        Returns ``(nodes, tail)`` or None to decline.  ``tail`` is
-        ``("backedge",)`` when the walk closed a loop back to *head*,
-        ``("exit", addr)`` when it stopped at an unchainable block, the
-        block cap, or an inner join, and ``("end",)`` when the last
-        node's arms all resolve internally.  Single blocks are declined:
-        plain fusion (with its self-loop and backward-branch-trap full
-        bodies) already handles them.
+        Returns ``(nodes, tail)``.  ``tail`` is ``("backedge",)`` when
+        the walk closed a loop back to *head*, ``("exit", addr)`` when it
+        stopped at an unchainable block, the block cap, or an inner
+        join, and ``("end",)`` when the last node's arms all resolve
+        internally (always so after a thunk or cut head).
         """
         nodes: List[_Node] = []
         starts: Dict[int, int] = {}
@@ -519,7 +516,7 @@ class TraceCompiler:
             if len(nodes) >= self.max_blocks:
                 tail = ("exit", cur)
                 break
-            node = self._build_node(cur, ns, manifest, uid)
+            node = self._build_node(cur, ns, manifest, uid, not nodes)
             if node is None:
                 tail = ("exit", cur)
                 break
@@ -535,29 +532,38 @@ class TraceCompiler:
                 tail = ("end",)
                 break
             cur = node.cont
-        if len(nodes) < 2:
-            return None
         return nodes, tail
 
-    def _build_node(self, start: int, ns: dict, manifest, uid):
-        """Fuse members from *start* and classify the terminator, or
-        None when the block cannot be chained (terminator with dynamic
-        or out-of-model control flow, trap the specializer declines,
-        decode error, member cap, trap-region boundary)."""
+    def _build_node(self, start: int, ns: dict, manifest, uid,
+                    head: bool):
+        """Fuse members from *start* and classify the terminator.
+
+        A block that cannot be chained (terminator with dynamic or
+        out-of-model control flow, trap the specializer declines, decode
+        error, member cap, trap-region boundary) is None, unless it is
+        the *head*: that becomes a thunk or cut node.  An undecodable
+        head word raises, as it would stepwise.
+        """
         cpu = self.cpu
         members: List[_Member] = []
         cur = start
-        ins = None
         while len(members) < cpu._max_block:
             if cpu.in_trap_region(cur):
-                return None
+                break
             try:
                 ins = cpu._decode_instruction(cur)
             except (InvalidInstruction, MemoryFault):
-                return None
+                if head and cur == start:
+                    raise
+                break
             parts = cpu._member_parts(ins, ns, uid[0])
             if parts is None:
-                break
+                node = self._classify(ins, start, members)
+                if node is None and head:
+                    node = _Node(start, members)
+                    node.kind = "thunk"
+                    node.target = ins.address
+                return node
             effect, flags, cycles, touches, preds = parts
             reads, writes = sreg_effects(ins.mnemonic, ins.operands)
             self._note_tables(ins, uid[0], manifest)
@@ -565,9 +571,12 @@ class TraceCompiler:
             members.append(_Member(effect, flags, cycles, touches,
                                    preds, reads, writes))
             cur = ins.next_address
-        else:
-            return None  # member cap reached without a terminator
-        return self._classify(ins, start, members)
+        if not head:
+            return None
+        node = _Node(start, members)
+        node.kind = "cut"
+        node.target = cur
+        return node
 
     @staticmethod
     def _note_tables(ins, uid: int, manifest) -> None:
@@ -859,6 +868,11 @@ class _Emitter:
             return self._two_way_body(node)
         if node.kind == "jmp":
             return self._jmp_body(node)
+        if node.kind == "thunk":
+            return self._thunk_body(node), None
+        if node.kind == "cut":
+            return (self._trap_prologue(node)
+                    + self._flush(node.target, "plain")), None
         name = node.facts.kind.name
         if name == "BRANCH_BACKWARD":
             if node.strip:
@@ -913,14 +927,24 @@ class _Emitter:
         return lines, None
 
     def _trap_prologue(self, node: _Node) -> List[str]:
-        """Members plus their accounting, matching the fused-block order
-        exactly: member cycles land before the trap code runs."""
+        """Members plus their accounting: member cycles land before the
+        terminator (trap code or thunk) runs, as they do stepwise."""
         lines = self._member_lines(node)
         if node.cost:
             lines.append(f"cy += {node.cost}")
         if node.count:
             lines.append(f"n += {node.count}")
         return lines
+
+    def _thunk_body(self, node: _Node) -> List[str]:
+        """A thunk head: the members, a flush that puts the pc on the
+        terminator (where stepwise execution has it: a trap handler that
+        ends the last task leaves it there), then the terminator's
+        decoded thunk."""
+        address = node.target
+        call = f"(cpu._exec[{address}] or cpu._decode_at({address}))()"
+        return self._trap_prologue(node) + self._flush(address, "plain",
+                                                       slow=call)
 
     @staticmethod
     def _slow_call(facts) -> str:

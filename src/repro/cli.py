@@ -177,7 +177,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _print_jit_stats(node) -> None:
-    """The ``sensmart run --stats`` report: superblock-cache traffic,
+    """The ``sensmart run --stats`` report: trace-cache traffic,
     trap-specializer activity, and trace-compiler activity."""
     kernel = node.kernel
     cache = node.cpu._block_cache
@@ -191,12 +191,11 @@ def _print_jit_stats(node) -> None:
     specializer = kernel.specializer
     if specializer is not None:
         s = specializer.stats
-        print(f"  specializer: {s.compiled} compiled, {s.deopts} deopts,"
-              f" {s.declined} declined")
+        print(f"  specializer: {s.compiled} compiled, {s.deopts} deopts")
     tracer = kernel.tracer
     if tracer is not None:
         t = tracer.stats
-        print(f"  tracer: {t.compiled} compiled, {t.declined} declined,"
+        print(f"  tracer: {t.compiled} compiled,"
               f" {t.cache_hits} cache hits, {t.store_hits} store hits,"
               f" {t.store_misses} store misses")
     counts = kernel.stats.trap_counts

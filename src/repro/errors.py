@@ -92,6 +92,8 @@ class LoadError(KernelError):
     stable ``reason`` string.  The loader guarantees the node is
     untouched when this escapes: no flash burned, no trampolines
     registered, no region moved — running tasks stay bit-identical.
+    A load whose RAM need does not fit raises :class:`OutOfMemory`
+    under the same guarantee.
     """
 
     def __init__(self, name: str, reason: str):

@@ -62,20 +62,13 @@ class KernelConfig:
     #: used by the Figure 5 "memory protection only" configuration).
     enable_scheduling: bool = True
 
-    #: Superblock-fuse the CPU interpreter (see repro.avr.cpu).  Off
-    #: forces per-instruction dispatch; results are bit-identical.
+    #: The one execution-tier switch.  On, the CPU dispatches traces
+    #: (see repro.avr.trace) with trap fast paths specialized against
+    #: each task's current region constants (see
+    #: repro.kernel.specialize).  Off, it steps one instruction at a
+    #: time and every trap takes the generic dispatch/translate chain:
+    #: the stepwise oracle.  Results are bit-identical.
     fuse: bool = True
-
-    #: JIT-specialize trap thunks and trap-bearing superblocks against
-    #: each task's current region constants (see repro.kernel.specialize).
-    #: Off routes every trap through the generic dispatch/translate
-    #: chain; results are bit-identical.
-    specialize: bool = True
-
-    #: Chain specialized superblocks across direct branches into
-    #: multi-block traces (see repro.avr.trace); requires ``fuse``.
-    #: Off stops at the per-block tiers; results are bit-identical.
-    trace: bool = True
 
     #: Drop per-access bound guards at trap sites the dataflow engine
     #: proved in-region (see repro.analysis.static.dataflow) — only at
@@ -85,7 +78,7 @@ class KernelConfig:
     #: default) keeps every guard.
     elide: bool = False
 
-    #: Maximum fused instructions per superblock (and per trace node).
+    #: Maximum fused instructions per trace block.
     #: Larger blocks amortize more dispatch overhead per straight-line
     #: run at the cost of compile time; 48 covers every hot loop in the
     #: benchmark suite.

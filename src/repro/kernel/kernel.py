@@ -74,8 +74,8 @@ class SenSmartKernel:
                  config: Optional[KernelConfig] = None,
                  devices=(), block_cache=None):
         """*block_cache* forwards to :class:`~..avr.cpu.AvrCpu`: None
-        shares the process-wide superblock cache, False disables it, or
-        pass an explicit :class:`~..avr.cpu.SuperblockCache`."""
+        shares the process-wide trace cache, False disables it, or pass
+        an explicit :class:`~..avr.cpu.SuperblockCache`."""
         self.config = config if config is not None else KernelConfig()
         self.image = image
 
@@ -100,23 +100,17 @@ class SenSmartKernel:
             from ..analysis.static.dataflow import validated_elisions
             self.elisions = validated_elisions(image, self.config)
         self.handlers = TrapHandlers(self)
-        self.specializer = None
-        thunk_factory = self.handlers.thunk_factory
-        inline_factory = None
-        if self.config.specialize:
-            from .specialize import TrapSpecializer
-            self.specializer = TrapSpecializer(self)
-            thunk_factory = self.specializer.thunk_factory
-            inline_factory = self.specializer.inline_source
         self.cpu.set_trap_region(image.trap_region[0], image.trap_region[1],
                                  self.handlers.dispatch,
-                                 thunk_factory=thunk_factory,
-                                 inline_factory=inline_factory)
+                                 thunk_factory=self.handlers.thunk_factory)
+        self.specializer = None
         self.tracer = None
-        if self.config.trace and self.config.fuse:
+        if self.config.fuse:
             import os
 
             from ..avr.trace import TraceCompiler, TraceStore
+            from .specialize import TrapSpecializer
+            self.specializer = TrapSpecializer(self)
             store_path = self.config.trace_store or \
                 os.environ.get("SENSMART_TRACE_STORE")
             store = TraceStore(store_path) if store_path else None
@@ -183,9 +177,9 @@ class SenSmartKernel:
     def _on_region_change(self, task_id: int) -> None:
         """A task's region geometry moved: retire its specialized code.
 
-        Trap code compiled by :class:`~.specialize.TrapSpecializer` bakes
-        the region constants in and guards on this epoch, so bumping it
-        deoptimizes every stale closure on its next execution.
+        Traces bake the region constants of their chained trap sites in
+        and guard on this epoch, so bumping it deoptimizes every stale
+        trace on its next execution.
         """
         task = self.tasks.get(task_id)
         if task is not None:

@@ -72,21 +72,30 @@ class DynamicLoader:
         """Compile, naturalize, burn and start *source* as a new task.
 
         A malformed or truncated *source*, or one that does not fit in
-        the flash left, raises :class:`LoadError`
-        *before* anything is installed: the validation pass is charged
-        (a real bootloader walks the whole transfer before deciding),
-        but flash, trampolines, the trap-region list and the region map
-        are untouched — every running task continues bit-identically.
+        the flash left, raises :class:`LoadError`, and one whose RAM
+        need the resident tasks leave no room for raises
+        :class:`~repro.errors.OutOfMemory` — both *before* anything is
+        installed: the validation pass is charged (a real bootloader
+        walks the whole transfer before deciding), but flash,
+        trampolines, the trap-region list and the region map are
+        untouched — every running task continues bit-identically.
         """
         kernel = self.kernel
-        natural, flash_words = self._install_flash(name, source)
+        natural, pool, trap_lo, trap_hi = self._place_flash(name, source)
+        flash_words = trap_hi - self.flash_cursor
         flash_pages = -(-flash_words // SPM_PAGE_WORDS)
         flash_cycles = flash_pages * SPM_PAGE_CYCLES
 
         task_id = max(kernel.tasks, default=-1) + 1
         stack_need = min_stack if min_stack is not None \
             else kernel.config.min_stack_size
-        moved = self._make_room(task_id, natural.heap_size, stack_need)
+        try:
+            moved = self._make_room(task_id, natural.heap_size,
+                                    stack_need)
+        except OutOfMemory:
+            self._charge_validation(source)
+            raise
+        self._burn_flash(natural, pool, trap_lo, trap_hi)
         region = kernel.regions.by_task(task_id)
 
         task = Task(task_id=task_id,
@@ -126,11 +135,18 @@ class DynamicLoader:
 
     # -- flash installation --------------------------------------------------------
 
-    def _install_flash(self, name: str, source: str):
-        kernel = self.kernel
+    def _charge_validation(self, source: str) -> None:
+        self.kernel.charge(costs.LOAD_VALIDATE_BASE
+                           + costs.LOAD_VALIDATE_PER_BYTE * len(source))
+
+    def _place_flash(self, name: str, source: str):
+        """Compile and naturalize *source* at the flash cursor and place
+        its trampolines: ``(natural, pool, trap_lo, trap_hi)``.  Touches
+        no node state; a refusal is charged and raised as
+        :class:`LoadError`."""
         base = self.flash_cursor
         pool = TrampolinePool()
-        cpu = kernel.cpu
+        cpu = self.kernel.cpu
         # Through the pipeline's work functions, so the process-wide
         # stage counters account for dynamic loads exactly like linked
         # images (a warm serve path must show zero of either).
@@ -145,17 +161,22 @@ class DynamicLoader:
                                 f"{cpu.flash.size_words}")
         except (AssemblerError, EncodingError, LinkError,
                 RewriteError) as error:
-            kernel.charge(costs.LOAD_VALIDATE_BASE
-                          + costs.LOAD_VALIDATE_PER_BYTE * len(source))
+            self._charge_validation(source)
             raise LoadError(name, str(error)) from error
         natural.resolve(pool)
+        return natural, pool, trap_lo, trap_hi
 
-        cpu.flash.load(base, natural.words)
+    def _burn_flash(self, natural, pool, trap_lo: int,
+                    trap_hi: int) -> None:
+        """Burn a placed program and its trap region, and register its
+        trampolines."""
+        kernel = self.kernel
+        cpu = kernel.cpu
+        cpu.flash.load(self.flash_cursor, natural.words)
         cpu.flash.load(trap_lo, [0x9598] * (trap_hi - trap_lo))
         kernel.trampolines.update(pool.by_address())
         cpu.add_trap_region(trap_lo, trap_hi)
         self.flash_cursor = trap_hi
-        return natural, trap_hi - base
 
     # -- RAM compaction ---------------------------------------------------------------
 
@@ -164,7 +185,8 @@ class DynamicLoader:
         """Re-pack regions and append one for the new task.
 
         Returns bytes physically moved.  Raises OutOfMemory when the
-        resident tasks' live needs leave no room.
+        resident tasks' live needs leave no room, before it moves or
+        registers anything.
         """
         kernel = self.kernel
         table = kernel.regions

@@ -63,32 +63,26 @@ class SensorNode:
                      rewriter: Optional[Rewriter] = None,
                      adc_seed: int = 0xACE1,
                      fuse: Optional[bool] = None,
-                     specialize: Optional[bool] = None,
-                     trace: Optional[bool] = None,
                      elide: Optional[bool] = None,
                      max_block_members: Optional[int] = None,
                      lint: Optional[bool] = None,
                      block_cache=None) -> "SensorNode":
         """Compile, rewrite and link *sources*, then boot a node.
 
-        *fuse*, *specialize* and *trace* override the config's
-        superblock-fusion, trap-specialization and trace-chaining knobs
-        (execution stays bit-identical either way; all on is fastest);
-        *elide* overrides certificate-driven guard elision at proven
-        trap sites (also bit-identical).
+        *fuse* overrides the config's tier switch: traces with
+        specialized trap fast paths, or the stepwise oracle (execution
+        stays bit-identical either way; traces are fastest); *elide*
+        overrides certificate-driven guard elision at proven trap sites
+        (also bit-identical).
         *max_block_members* overrides the fusion length cap.  *lint*
         overrides the config's ``lint_on_link`` self-check.
         *block_cache* forwards to the kernel's CPU (None = process-wide
-        superblock sharing, False = private compilation).
+        trace sharing, False = private compilation).
         """
         config = config if config is not None else KernelConfig()
         overrides = {}
         if fuse is not None:
             overrides["fuse"] = fuse
-        if specialize is not None:
-            overrides["specialize"] = specialize
-        if trace is not None:
-            overrides["trace"] = trace
         if elide is not None:
             overrides["elide"] = elide
         if max_block_members is not None:

@@ -203,13 +203,11 @@ def jit_stats_dict(node) -> dict:
     if specializer is not None:
         s = specializer.stats
         out["specializer"] = {"compiled": s.compiled,
-                              "deopts": s.deopts,
-                              "declined": s.declined}
+                              "deopts": s.deopts}
     tracer = kernel.tracer
     if tracer is not None:
         t = tracer.stats
         out["tracer"] = {"compiled": t.compiled,
-                         "declined": t.declined,
                          "cache_hits": t.cache_hits,
                          "store_hits": t.store_hits,
                          "store_misses": t.store_misses}

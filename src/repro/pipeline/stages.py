@@ -237,7 +237,7 @@ class SimulateStage(Stage):
     name = "simulate"
     #: Bumped whenever the JIT counters the report carries change for
     #: the same input, so stored verdicts never serve stale counters.
-    version = 2
+    version = 3
     persistent = True
 
     def run(self, pipeline, request, ctx):

@@ -3,8 +3,14 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.avr import AvrCpu, Flash, assemble
+
+#: ``--hypothesis-profile=long``: the differential loop family (which
+#: takes half the profile's example count) runs 1000 examples
+#: instead of tier-1's 50.  Tests with an explicit count keep it.
+settings.register_profile("long", max_examples=2000)
 
 
 def run_asm(source: str, max_instructions: int = 1_000_000,

@@ -16,13 +16,10 @@ from repro.adversary.patch import (
 )
 
 #: Tier overrides the campaign digests must be invariant under (the
-#: default config — fused + elision — is the baseline fixture).
+#: default config — traced + elision — is the baseline fixture).
 TIER_VARIANTS = (
     dict(fuse=False),
-    dict(specialize=True),
-    dict(trace=True),
     dict(elide=False),
-    dict(trace=True, elide=False),
 )
 
 
@@ -137,7 +134,7 @@ def test_patched_task_matches_cold_boot(quick_patch):
 
 
 def test_patch_digest_tier_invariant(quick_patch):
-    for tier in (dict(fuse=False), dict(trace=True), dict(elide=False)):
+    for tier in (dict(fuse=False), dict(elide=False)):
         report = run_patch(quick=True, **tier)
         assert report.digest == quick_patch.digest, tier
 

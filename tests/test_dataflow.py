@@ -13,7 +13,9 @@ Three layers under test:
 
 from __future__ import annotations
 
+import ast
 import dataclasses
+import re
 
 import pytest
 
@@ -25,9 +27,10 @@ from repro.analysis.static.dataflow import (DataflowAnalysis,
                                             verify_certificate)
 from repro.analysis.static.values import AbsState, Interval, Word
 from repro.avr.encoding import decode
+from repro.avr.trace import TraceStore
 from repro.experiments.extra_static import _workload_sources
 from repro.faults import FaultInjector, FaultPlan
-from repro.kernel import SensorNode
+from repro.kernel import KernelConfig, SensorNode
 from repro.toolchain import compile_source, link_image
 
 # The bench_dataflow TRAP_MIX shape, sized for tests: every access is
@@ -325,51 +328,64 @@ def _run_node(sources, max_instructions=50_000_000, plan=None, **kw):
     return node
 
 
-def test_elided_sources_drop_the_guards():
+def _stored_traces(node):
+    """``(sites, site spec_keys, source)`` of every trace *node*
+    compiled, read back from its :class:`TraceStore` artifacts."""
+    tracer = node.kernel.tracer
+    stored = TraceStore(tracer.store.path).load(tracer._store_base())
+    for entries in stored.values():
+        for key_repr, artifact in entries.items():
+            site_keys, _epoch = ast.literal_eval(key_repr)
+            yield ([site for site, _, _ in artifact["sites"]], site_keys,
+                   artifact["source"])
+
+
+def _chained_sites(node):
+    """site -> (its spec_key, the source of a trace chaining it)."""
+    chained = {}
+    for sites, keys, source in _stored_traces(node):
+        for site, key in zip(sites, keys):
+            chained[site] = (key, source)
+    return chained
+
+
+def test_elided_sources_drop_the_guards(tmp_path):
     node = _run_node([("trap_mix", TRAP_MIX)], elide=True,
+                     config=KernelConfig(trace_store=str(tmp_path)),
                      max_instructions=100)  # task must stay alive
     kernel = node.kernel
     assert sorted(kernel.elisions.values()) == \
         ["heap"] * 4 + ["pop"] * 2
+    chained = _chained_sites(node)
     natural = kernel.image.tasks[0].natural
     for site, claim in kernel.elisions.items():
+        key, source = chained[site]
+        assert ("elide", claim) in key
+        if claim in ("heap", "stack"):
+            assert "elif" not in source          # no range-check chain
+            assert "<= ta <" not in source
+        else:
+            assert not re.search(r"if tsp < \d", source)  # no underflow
         offset = site - natural.base
         jmp = decode(natural.words[offset], natural.words[offset + 1],
                      site)
-        result = kernel.specializer.inline_source(
-            node.cpu, site, jmp.operands[0], False,
-            invalidate=f"k_ex[{site}] = None")
-        assert result is not None
-        lines, _, spec_key, _ = result
-        assert ("elide", claim) in spec_key
-        body = "\n".join(lines)
-        if claim in ("heap", "stack"):
-            assert "elif" not in body          # no range-check chain
-            assert "<= ta <" not in body
-        else:
-            assert "if tsp <" not in body      # no underflow check
         facts = kernel.specializer.trace_facts(
             site, jmp.operands[0], False)
         assert facts is not None and facts.elide == claim
 
 
-def test_default_config_keeps_guards():
+def test_default_config_keeps_guards(tmp_path):
     """elide off (the default) must emit the full guard chain and a
     spec key with no elide token — certified or not."""
     node = _run_node([("trap_mix", TRAP_MIX)], elide=False,
+                     config=KernelConfig(trace_store=str(tmp_path)),
                      max_instructions=100)  # task must stay alive
     kernel = node.kernel
     assert kernel.elisions == {}
     certs = image_certificates(kernel.image)["trap_mix"]
     site = next(s for s, c in certs.items() if c.claim == "heap")
-    natural = kernel.image.tasks[0].natural
-    offset = site - natural.base
-    jmp = decode(natural.words[offset], natural.words[offset + 1], site)
-    lines, _, spec_key, _ = kernel.specializer.inline_source(
-        node.cpu, site, jmp.operands[0], False,
-        invalidate=f"k_ex[{site}] = None")
-    body = "\n".join(lines)
-    assert "elif" in body and "<= ta <" in body
+    spec_key, source = _chained_sites(node)[site]
+    assert "elif" in source and "<= ta <" in source
     assert not any(isinstance(part, tuple) and part[0] == "elide"
                    for part in spec_key)
 
@@ -380,10 +396,7 @@ def test_elision_is_bit_identical_across_tiers(workload):
     baseline = _run_node(sources, elide=False)
     tiers = [
         {"elide": True},                                    # traced
-        {"elide": True, "trace": False},                    # specialized
-        {"elide": True, "specialize": False},               # fused
-        {"elide": True, "fuse": False, "specialize": False,
-         "trace": False},                                   # stepwise
+        {"elide": True, "fuse": False},                     # stepwise
     ]
     want = _digest(baseline)
     for overrides in tiers:

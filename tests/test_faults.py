@@ -43,14 +43,13 @@ def _digest(node):
 # -- null plan: attached-but-empty injector leaves no trace --------------------
 
 @pytest.mark.parametrize("workload", ["table1", "table2", "kernelbench"])
-@pytest.mark.parametrize("fuse,specialize",
+@pytest.mark.parametrize("fuse,elide",
                          [(True, True), (True, False), (False, False)])
-def test_null_plan_is_bit_identical(workload, fuse, specialize):
+def test_null_plan_is_bit_identical(workload, fuse, elide):
     sources = _workload_sources(workload, quick=True)
 
     def run(attach):
-        node = SensorNode.from_sources(sources, fuse=fuse,
-                                       specialize=specialize,
+        node = SensorNode.from_sources(sources, fuse=fuse, elide=elide,
                                        block_cache=False)
         if attach:
             plan = FaultPlan(seed=0xDEAD, horizon_cycles=10_000_000)
@@ -273,9 +272,8 @@ def test_reboot_persists_network_time():
 # -- specialized code vs injected flips ----------------------------------------
 
 #: Self-looping inner spin plus stack traffic in the outer loop: the
-#: inner loop specializes into a self-looping superblock, and the
-#: push/pop sites specialize with baked region constants guarded by
-#: the region epoch.
+#: inner loop strip-mines inside a trace, and the push/pop sites
+#: specialize with baked region constants guarded by the region epoch.
 _SPIN_WITH_STACK = """
 main:
     ldi r28, 40
@@ -294,13 +292,12 @@ inner:
 
 
 def test_sram_flip_under_specialized_superblock_deopts():
-    """A flip into a guarded region bumps the region epoch: the
-    specialized stack-op closures must deopt (counter > 0) and the
-    run must stay bit-identical with generic dispatch."""
-    def run(specialize):
+    """A flip into a guarded region bumps the region epoch: the traces
+    holding specialized stack ops must deopt (counter > 0) and the run
+    must stay bit-identical with generic dispatch."""
+    def run(fuse):
         node = SensorNode.from_sources([("spin", _SPIN_WITH_STACK)],
-                                       specialize=specialize,
-                                       block_cache=False)
+                                       fuse=fuse, block_cache=False)
         plan = FaultPlan(seed=0xD15E, horizon_cycles=1)
         injector = FaultInjector(plan)
         injector.attach("n", node)
@@ -309,11 +306,11 @@ def test_sram_flip_under_specialized_superblock_deopts():
         assert node.finished
         return node
 
-    specialized = run(specialize=True)
+    specialized = run(fuse=True)
     stats = specialized.kernel.specializer.stats
     assert stats.compiled > 0
     assert stats.deopts > 0
-    assert _digest(specialized) == _digest(run(specialize=False))
+    assert _digest(specialized) == _digest(run(fuse=False))
 
 
 # -- campaigns -----------------------------------------------------------------

@@ -249,6 +249,35 @@ def test_load_past_end_of_flash_rejected_cleanly():
             task.context.regs[20]) == (0x66, 0x5A, 0x5A)
 
 
+#: RAM need no one-task node can meet.
+BIG_BSS = ".bss big, 3650\nmain:\n    break\n"
+
+
+def test_load_out_of_ram_rejected_cleanly():
+    """A load whose RAM need does not fit is refused with OutOfMemory
+    before anything is burned: validation is charged, flash, the
+    trampolines and the trap ranges are untouched, and the node runs
+    on to the same exits as one that never tried."""
+    node, reference = make_node(("s1", SPINNER)), make_node(("s1", SPINNER))
+    for each in (node, reference):
+        each.run(max_cycles=50_000)
+    before = _node_snapshot(node)
+    fingerprint = node.cpu.flash.fingerprint()
+    cycles_before = node.cpu.cycles
+    with pytest.raises(OutOfMemory):
+        node.kernel.load_task("big", BIG_BSS)
+    assert _node_snapshot(node) == before
+    assert node.cpu.flash.fingerprint() == fingerprint
+    assert node.cpu.cycles > cycles_before  # validation was charged
+    for each in (node, reference):
+        each.run(max_instructions=30_000_000)
+        assert each.finished
+    assert node.kernel.stats.terminations == \
+        reference.kernel.stats.terminations
+    assert node.task_named("s1").context.regs == \
+        reference.task_named("s1").context.regs
+
+
 def test_failed_load_then_good_load_still_works():
     node = make_node(("s1", SPINNER))
     kernel = node.kernel

@@ -159,7 +159,7 @@ def test_stage_keys_are_stable_and_discriminating():
     assert keys["verdict"] != \
         pipeline.stage_keys(_request(max_instructions=1))["verdict"]
     from repro.kernel.config import KernelConfig
-    other = Pipeline(config=KernelConfig(trace=False))
+    other = Pipeline(config=KernelConfig(fuse=False))
     assert keys["verdict"] != other.stage_keys(r1)["verdict"]
 
 

@@ -1,7 +1,7 @@
-"""Superblock fusion: fused execution must be observationally identical.
+"""Fused execution must be observationally identical to stepwise.
 
-The fused interpreter compiles straight-line instruction runs into
-single closures; these tests pin down the properties that make that
+The fused interpreter compiles instruction runs into traces (single
+closures); these tests pin down the properties that make that
 safe — identical architectural state in both modes, exact stop
 semantics, cache invalidation on every path that re-burns flash or
 extends the trap region, and device alarms that land mid-block being
@@ -13,7 +13,6 @@ from __future__ import annotations
 import pytest
 
 from repro.avr import AvrCpu, Flash, assemble, ioports
-from repro.avr.cpu import SuperblockCache
 from repro.avr.devices import Timer3
 from repro.avr.trace import TraceCompiler
 from repro.kernel import SensorNode
@@ -191,8 +190,9 @@ main:
 
 
 # invalidate_decode() skips the clear when nothing was stored since the
-# last one, so every writer of _exec/_blocks must say that it stored.
-# Each case below makes exactly one store on a fresh CPU.
+# last one, so both writers of _exec/_blocks (_decode_at and the trace
+# entry store of _fuse_block) must say that they stored.  Each case
+# below makes exactly one store on a fresh CPU.
 
 _LOOP = """
 main:
@@ -221,24 +221,6 @@ def _decode_at():
     return cpu
 
 
-def _compiled_block():
-    # Cut at the member cap: a block ending in a terminator also decodes
-    # the terminator's thunk, a second store that would hide this one.
-    cpu, labels = _loop_cpu(max_block=1)
-    cpu._fuse_block(labels["main"])
-    return cpu
-
-
-def _from_cache():
-    cache = SuperblockCache()
-    donor, labels = _loop_cpu(block_cache=cache)
-    donor._fuse_block(labels["loop"])  # ends in an inlined BREQ
-    cpu, _ = _loop_cpu(block_cache=cache)
-    cpu._fuse_block(labels["loop"])
-    assert cache.hits == 1
-    return cpu
-
-
 def _trace_entry():
     cpu, labels = _loop_cpu()
     tracer = TraceCompiler(cpu)
@@ -254,8 +236,7 @@ def _stored(cpu: AvrCpu):
             for pc, entry in enumerate(cache) if entry is not None]
 
 
-@pytest.mark.parametrize("writer", [_decode_at, _compiled_block,
-                                    _from_cache, _trace_entry],
+@pytest.mark.parametrize("writer", [_decode_at, _trace_entry],
                          ids=lambda writer: writer.__name__.strip("_"))
 def test_reburn_clears_what_each_writer_stored(writer):
     cpu = writer()

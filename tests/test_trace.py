@@ -1,10 +1,9 @@
-"""Trace JIT: chained superblocks must be an invisible speed knob.
+"""Trace JIT: traces must be an invisible speed knob.
 
 Six angles:
 
 * differential bit-identity — the paper workloads retire identical
-  architectural and kernel state traced, specialized, fused, and
-  stepwise;
+  architectural and kernel state traced and stepwise;
 * device polling loops — traces through I/O-class direct accesses and
   SBRS/SBRC skips match stepwise execution at every early stop, under
   ``until()``, across a radio link, and through skip-head deopts;
@@ -38,6 +37,7 @@ from repro.faults import FaultInjector, FaultPlan
 from repro.fleet.workload import receiver_src, relay_src, sender_src
 from repro.kernel import KernelConfig, SensorNode
 from repro.net import Network
+from repro.rewriter.classify import PatchKind
 from repro.workloads.bintree import search_task_source
 from repro.workloads.kernelbench import KERNEL_BENCHMARKS
 
@@ -75,6 +75,32 @@ def _boot(sources, **overrides):
                                    **overrides)
 
 
+def _polling_seams(node):
+    """Where a trace that chains through *node*'s device polling code
+    goes on, in address order: the resume address of every direct
+    I/O-register trap site (``lds``/``sts`` below ``ram_start``) and
+    the fall-through of every SBRS/SBRC.  A seam is in
+    ``tracer.chained`` only if some trace continued past it."""
+    ram_start = node.kernel.config.ram_start
+    seams = set()
+    for task in node.kernel.tasks.values():
+        natural = task.image.natural
+        seams.update(site.resume_address
+                     for site in natural.sites.values()
+                     if site.kind is PatchKind.MEM_DIRECT
+                     and site.params[2] < ram_start)
+        seams.update(item.next_address for item in natural.items
+                     if getattr(item, "mnemonic", None) in ("SBRS",
+                                                            "SBRC"))
+    return sorted(seams)
+
+
+def _assert_polling_chained(node):
+    seams = _polling_seams(node)
+    assert seams
+    assert set(seams) <= node.kernel.tracer.chained
+
+
 # -- differential bit-identity --------------------------------------------------
 
 @pytest.mark.parametrize("workload", ["table1", "table2", "kernelbench"])
@@ -87,14 +113,12 @@ def test_traced_matches_every_other_tier(workload):
         assert node.finished
         return node
 
-    traced = run(trace=True)
+    traced = run()
+    # Trap sites are specialized into traces, and blocks chain.
+    assert traced.kernel.specializer.stats.compiled > 0
     if workload != "table1":  # table1-quick's loops are single-block
-        assert traced.kernel.tracer.stats.compiled > 0
-    reference = _digest(traced)
-    assert reference == _digest(run(trace=False))
-    assert reference == _digest(run(trace=False, specialize=False))
-    assert reference == _digest(run(trace=False, specialize=False,
-                                    fuse=False))
+        assert traced.kernel.tracer.chained
+    assert _digest(traced) == _digest(run(fuse=False))
 
 
 def test_fusion_cap_override_reaches_cpu_and_preserves_state():
@@ -116,10 +140,10 @@ def test_relocation_deopts_stale_traces_bit_identically():
     interrupted loop must re-enter correctly from its mid-trace stop
     point, and the final state must match the untraced run."""
 
-    def run(trace):
+    def run(fuse):
         # Two tasks so growing one stack has a donor to take from.
         node = _boot([("spin", _SPIN_STACK), ("spin2", _SPIN_STACK)],
-                     trace=trace)
+                     fuse=fuse)
         # Stop mid-loop (inside the strip-mined inner spin), with
         # every hot trace already compiled and guarded on epoch 0.
         node.run(max_instructions=600_000)
@@ -131,16 +155,16 @@ def test_relocation_deopts_stale_traces_bit_identically():
         assert node.finished
         return node
 
-    traced = run(trace=True)
+    traced = run(fuse=True)
     assert traced.kernel.specializer.stats.deopts > 0
-    assert _digest(traced) == _digest(run(trace=False))
+    assert _digest(traced) == _digest(run(fuse=False))
 
 
 def test_null_fault_plan_with_traces_leaves_no_trace():
     sources = _workload_sources("kernelbench", quick=True)
 
     def run(attach):
-        node = _boot(sources, trace=True)
+        node = _boot(sources)
         if attach:
             plan = FaultPlan(seed=0xDEAD, horizon_cycles=10_000_000)
             FaultInjector(plan).attach("n", node)
@@ -235,7 +259,7 @@ def test_polling_loops_match_stepwise_at_every_stop(name):
     whole = _boot(sources)
     whole.run(max_instructions=50_000_000)
     assert whole.finished
-    assert whole.kernel.tracer.stats.compiled > 0
+    _assert_polling_chained(whole)
     reference = _boot(sources, fuse=False)
     reference.run(max_instructions=50_000_000)
     assert _digest(whole) == _digest(reference)
@@ -251,19 +275,30 @@ def test_polling_loops_match_stepwise_at_every_stop(name):
 
 @pytest.mark.parametrize("name", sorted(_POLLING))
 def test_polling_loops_stop_on_until_like_untraced(name):
-    """``until()`` is evaluated once per dispatch, so its stops are
-    compared with the untraced fused tier rather than stepwise."""
+    """``until()`` is evaluated once per dispatch, and a pending
+    ``until()`` pins every trace to exit at its first seam: a traced
+    stop lands where ``until()`` holds, at most one head block past the
+    first instruction where stepwise execution sees it hold, on the
+    state stepwise execution reaches at the same instruction count."""
     sources = [(name, _POLLING[name])]
-    traced, fused = _boot(sources), _boot(sources, trace=False)
+    traced, stepwise = _boot(sources), _boot(sources, fuse=False)
+    one_block = traced.cpu._max_block + 1
     for limit in range(50, 3_000, 71):
         def until(cpu, limit=limit):
             return cpu.instret >= limit or cpu.r[17] == limit & 0xFF
+        stepwise.run(max_instructions=50_000_000, until=until)
+        first_hold = stepwise.cpu.instret
         traced.run(max_instructions=50_000_000, until=until)
-        fused.run(max_instructions=50_000_000, until=until)
-        assert _digest(traced) == _digest(fused), limit
+        if not traced.finished:
+            assert until(traced.cpu), limit
+        assert first_hold <= traced.cpu.instret <= first_hold + one_block, \
+            limit
+        if stepwise.cpu.instret < traced.cpu.instret:
+            stepwise.run(max_instructions=traced.cpu.instret)
+        assert _digest(traced) == _digest(stepwise), limit
     traced.run(max_instructions=50_000_000)
-    fused.run(max_instructions=50_000_000)
-    assert _digest(traced) == _digest(fused)
+    stepwise.run(max_instructions=50_000_000)
+    assert _digest(traced) == _digest(stepwise)
 
 
 def test_radio_network_traced_matches_stepwise():
@@ -279,20 +314,21 @@ def test_radio_network_traced_matches_stepwise():
         return net
 
     traced, stepwise = run(), run(fuse=False)
-    assert traced.nodes["tx"].kernel.tracer.stats.compiled > 0
     for name in ("tx", "rx"):
+        _assert_polling_chained(traced.nodes[name])
         assert _digest(traced.nodes[name]) == \
             _digest(stepwise.nodes[name]), name
 
 
 def test_relay_spin_loops_trace_without_declines():
-    """A relay's ``lds UCSR0A; sbrs; rjmp`` spins chain into traces
-    instead of declining at the I/O load."""
+    """A relay's ``lds UCSR0A; sbrs; rjmp`` spin chains into one trace
+    through the I/O load and the skip, rather than stopping at either.
+    With no radio traffic only the receive spin runs: its ``lds`` site
+    and its ``sbrs`` are the first two seams."""
     node = _boot([("relay", relay_src(16))])
     node.run(max_instructions=30_000)
-    stats = node.kernel.tracer.stats
-    assert stats.compiled >= 1
-    assert stats.declined == 0
+    receive_spin = _polling_seams(node)[:2]
+    assert set(receive_spin) <= node.kernel.tracer.chained
 
 
 def test_skip_head_deopt_replays_both_arms():

@@ -1,11 +1,12 @@
 """Trap specialization: bit-identical execution and code caches.
 
-The specializing trap compiler (repro.kernel.specialize) is a pure
-speed knob: every register, memory byte, cycle count and kernel
-statistic must match the generic dispatch chain exactly, including
-across stack relocations that invalidate specialized code through the
-per-task region epoch.  The cross-node :class:`SuperblockCache` must
-compile each hot block once per flash image, not once per node.
+Traces with specialized trap fast paths (site facts from
+repro.kernel.specialize) are a pure speed knob: every register, memory
+byte, cycle count and kernel statistic must match stepwise execution
+through the generic dispatch chain exactly, including across stack
+relocations that invalidate specialized code through the per-task
+region epoch.  The cross-node :class:`SuperblockCache` must compile
+each hot trace once per flash image, not once per node.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import pytest
 
 from repro.avr.cpu import SuperblockCache
 from repro.avr.devices.radio import Radio
+from repro.avr.trace import TraceCompiler
 from repro.errors import LinkError
 from repro.experiments.extra_static import _workload_sources
 from repro.kernel import SensorNode
@@ -36,10 +38,8 @@ def _digest(node):
                   for task in kernel.tasks.values()))
 
 
-def _run(sources, specialize, fuse=True, max_instructions=50_000_000):
-    node = SensorNode.from_sources(sources, fuse=fuse,
-                                   specialize=specialize,
-                                   block_cache=False)
+def _run(sources, fuse, max_instructions=50_000_000):
+    node = SensorNode.from_sources(sources, fuse=fuse, block_cache=False)
     node.run(max_instructions=max_instructions)
     return node
 
@@ -49,28 +49,25 @@ def _run(sources, specialize, fuse=True, max_instructions=50_000_000):
 @pytest.mark.parametrize("workload", ["table1", "table2", "kernelbench"])
 def test_specialized_execution_is_bit_identical(workload):
     sources = _workload_sources(workload, quick=True)
-    specialized = _run(sources, specialize=True)
-    generic_fused = _run(sources, specialize=False)
-    generic_stepwise = _run(sources, specialize=False, fuse=False)
+    specialized = _run(sources, fuse=True)
+    generic_stepwise = _run(sources, fuse=False)
     assert specialized.finished
     assert specialized.kernel.specializer.stats.compiled > 0
-    assert _digest(specialized) == _digest(generic_fused)
     assert _digest(specialized) == _digest(generic_stepwise)
 
 
 def test_relocation_invalidates_specialized_code_and_stays_identical():
     """A mid-run stack relocation moves region constants out from under
-    every specialized thunk and block the task owns; the epoch guard
-    must deopt them and the recompiled code must keep the run
-    bit-identical with generic dispatch."""
+    every specialized trace the task owns; the epoch guard must deopt
+    them and the recompiled code must keep the run bit-identical with
+    generic dispatch."""
     sources = [("s0", search_task_source(nodes=60, searches=15,
                                          seed=0x1357)),
                ("s1", search_task_source(nodes=60, searches=15,
                                          seed=0x2468))]
 
-    def run(specialize, fuse=True):
+    def run(fuse):
         node = SensorNode.from_sources(sources, fuse=fuse,
-                                       specialize=specialize,
                                        block_cache=False)
         node.run(max_instructions=8_000)
         assert not node.finished
@@ -82,17 +79,15 @@ def test_relocation_invalidates_specialized_code_and_stays_identical():
         assert node.finished
         return node
 
-    specialized = run(specialize=True)
+    specialized = run(fuse=True)
     stats = specialized.kernel.specializer.stats
     assert specialized.kernel.relocator.relocation_count > 0
     assert stats.compiled > 0
     assert stats.deopts > 0  # stale-epoch guards fired and recompiled
-    assert _digest(specialized) == _digest(run(specialize=False))
-    assert _digest(specialized) == _digest(run(specialize=False,
-                                               fuse=False))
+    assert _digest(specialized) == _digest(run(fuse=False))
 
 
-# -- cross-node superblock sharing ---------------------------------------------
+# -- cross-node trace sharing --------------------------------------------------
 
 def test_network_of_identical_nodes_compiles_each_block_once():
     cache = SuperblockCache()
@@ -107,7 +102,7 @@ def test_network_of_identical_nodes_compiles_each_block_once():
     assert all(node.finished for node in net.nodes.values())
     assert cache.hits > 0  # later nodes rebound shared code
     assert cache.compile_counts  # something was compiled at all
-    assert max(cache.compile_counts.values()) == 1  # each block once
+    assert max(cache.compile_counts.values()) == 1  # each trace once
 
 
 _PUSHER = """
@@ -125,29 +120,43 @@ loop:
 """
 
 
-@pytest.mark.parametrize("trace", [True, False])
-def test_equal_fingerprints_with_different_trampolines_never_share(trace):
+@pytest.mark.parametrize("elide", [True, False])
+def test_equal_fingerprints_with_different_trampolines_never_share(
+        elide, monkeypatch):
     """``push r16`` and ``push r17`` naturalize to the same JMP into the
     BREAK-filled trap region, so both images burn one flash fingerprint;
     only the trampoline params differ.  The second image on a shared
-    cache must compile its own code, not rebind the first one's."""
+    cache must compile its own site-bearing traces, not rebind the
+    first one's.  A trace with no trap site (the ``break`` head) bakes
+    no trampoline params, so the second image may rebind that one."""
+    rebound = []
+    rebind = TraceCompiler._rebind
+
+    def spy(self, block, task, kinds):
+        rebound.append(block)
+        return rebind(self, block, task, kinds)
+
+    monkeypatch.setattr(TraceCompiler, "_rebind", spy)
     cache = SuperblockCache()
     fingerprints = []
+    earlier = set()
     for register in ("r16", "r17"):
         sources = [("pusher", _PUSHER.format(register=register))]
-        before = set(cache.compile_counts)
-        shared = SensorNode.from_sources(sources, trace=trace,
+        rebound.clear()
+        shared = SensorNode.from_sources(sources, elide=elide,
                                          block_cache=cache)
         fingerprints.append(shared.cpu.flash.fingerprint())
         shared.run(max_instructions=1_000_000)
-        private = SensorNode.from_sources(sources, trace=trace,
+        private = SensorNode.from_sources(sources, elide=elide,
                                           block_cache=False)
         private.run(max_instructions=1_000_000)
         assert shared.finished
-        assert set(cache.compile_counts) - before  # compiled its own
-        if trace:
-            assert shared.kernel.tracer.stats.compiled > 0
-            assert shared.kernel.tracer.stats.cache_hits == 0
+        assert shared.kernel.tracer.stats.compiled > 0
+        mine = {id(block) for group in cache.groups.values()
+                for block in group.values() if block.trap} - earlier
+        assert mine  # compiled its own site-bearing traces
+        assert all(id(block) in mine for block in rebound if block.trap)
+        earlier |= mine
         assert _digest(shared) == _digest(private)
     assert fingerprints[0] == fingerprints[1]
     assert max(cache.compile_counts.values()) == 1
