@@ -1,10 +1,9 @@
 """Trap-heavy workloads shared by the trace, serve and dataflow benches.
 
-* ``TRAP_LOOP`` — the SPIN workload ``BENCH_interpreter.json``'s
-  kernelized baseline was recorded on.  Every second retired
-  instruction is a rewritten backward branch, so the run is one long
-  stream of BRANCH_BACKWARD traps; the trace compiler strip-mines the
-  inner loop.
+* ``TRAP_LOOP`` — the SPIN loop of two nested counters.  Every second
+  retired instruction is a rewritten backward branch, so the run is one
+  long stream of BRANCH_BACKWARD traps; the trace compiler strip-mines
+  the inner loop.
 * ``TRAP_MIX`` — a loop whose body is almost entirely rewritten memory
   accesses: heap stores/loads through X, displacement stores through Y,
   pushes/pops and a call/return pair, closed by a backward branch.
@@ -16,9 +15,8 @@ identical state.  ``BENCH_trapspec.json`` at the repo root holds the
 rates recorded when specialization was a separate per-block tier.
 """
 
-# Same source as benchmarks/bench_superblock.py SPIN: the recorded
-# kernelized_fused baseline (1,361,466 instr/s at the time this bench
-# was added) measures exactly this program.
+# The kernelized rate recorded when this bench was added (1,361,466
+# instr/s, traces not yet chained) measured exactly this program.
 TRAP_LOOP = """
 main:
     ldi r26, 0

@@ -25,11 +25,11 @@ Two integration points exist for the SenSmart kernel:
   lies inside the region — or the PC landing there directly — invokes the
   registered trap handler instead of executing machine code.  SenSmart's
   trampolines live there;
-* *devices* registered with the CPU schedule :class:`~repro.sim.Event`
-  callbacks on the CPU's event queue (the CPU is a
-  :class:`~repro.sim.SimClock`); events fire between instructions
-  (between dispatches when fusing) and can raise interrupts or wake
-  the CPU from sleep.
+* *devices* registered with the CPU claim ``io_read``/``io_write``
+  entries and schedule :class:`~repro.sim.Event` callbacks on the CPU's
+  event queue (the CPU is a :class:`~repro.sim.SimClock`); events fire
+  between instructions (between dispatches when fusing) and can raise
+  interrupts or wake the CPU from sleep.
 """
 
 from __future__ import annotations
@@ -274,6 +274,12 @@ class AvrCpu(SimClock):
     cycle counter *is* the simulated clock, and every timed effect —
     device completions, timer compares, kernel virtual timers, network
     byte arrivals — is an event on that queue.
+
+    ``io_read[a](a) -> byte`` and ``io_write[a](a, byte)`` route every
+    data address below ``RAM_START``: the register file, the CPU's SREG
+    and SP bytes, else plain :class:`DataMemory` bytes until a device,
+    and then the kernel, claims the entry by assignment.  Entries take
+    the address so that one bound method serves every plain entry.
     """
 
     def __init__(self, flash: Flash, memory: Optional[DataMemory] = None,
@@ -295,6 +301,14 @@ class AvrCpu(SimClock):
         self.instret = 0
         self.sleeping = False
         self.halted = False
+        r, plain, n_io = self.r, self.mem.data, ioports.RAM_START - 0x20
+        self.io_read = [r.__getitem__] * 0x20 + [plain.__getitem__] * n_io
+        self.io_write = [r.__setitem__] * 0x20 + [plain.__setitem__] * n_io
+        for address in (ioports.SPL, ioports.SPH):
+            self.io_read[address] = self._read_sp
+            self.io_write[address] = self._write_sp
+        self.io_read[ioports.SREG] = self._read_sreg
+        self.io_write[ioports.SREG] = self._write_sreg
         self._exec: List[Optional[Callable[[], None]]] = \
             [None] * flash.size_words
         #: Trace entries: pc -> (closure, instructions, member cycles).
@@ -336,8 +350,9 @@ class AvrCpu(SimClock):
     def attach_device(self, device) -> None:
         """Attach a device (timer/ADC/...).
 
-        Devices install I/O hooks and schedule their timed effects on
-        ``self.events``; there is no per-instruction polling.
+        Devices claim ``io_read``/``io_write`` entries and schedule their
+        timed effects on ``self.events``; there is no per-instruction
+        polling.
         """
         self._devices.append(device)
         device.attach(self)
@@ -408,6 +423,14 @@ class AvrCpu(SimClock):
             self._decoded = False
         self._cache_base_key = None  # flash/trap geometry may have changed
 
+    def free_decode_caches(self) -> None:
+        """Empty the decode caches of a CPU that will never run again: a
+        dead CPU sits in reference cycles, so its two flash-sized lists
+        (about 1 MB) would otherwise wait for a full collection."""
+        self._exec.clear()
+        self._blocks.clear()
+        self._decoded = False
+
     def enable_profiling(self) -> None:
         """Count executions per PC (Avrora-style flat profile).
 
@@ -425,31 +448,31 @@ class AvrCpu(SimClock):
     # -- data-space access ------------------------------------------------------
 
     def data_read(self, address: int) -> int:
-        if address < 0x20:
-            return self.r[address]
-        if address == ioports.SPL:
-            return self.sp & 0xFF
-        if address == ioports.SPH:
-            return (self.sp >> 8) & 0xFF
-        if address == ioports.SREG:
-            return self.sreg
+        if address < ioports.RAM_START:
+            return self.io_read[address](address)
         return self.mem.read(address)
 
     def data_write(self, address: int, value: int) -> None:
-        value &= 0xFF
-        if address < 0x20:
-            self.r[address] = value
-            return
-        if address == ioports.SPL:
-            self.sp = (self.sp & 0xFF00) | value
-            return
+        if address < ioports.RAM_START:
+            self.io_write[address](address, value)
+        else:
+            self.mem.write(address, value)
+
+    def _read_sp(self, address: int) -> int:
+        return (self.sp >> 8) & 0xFF if address == ioports.SPH \
+            else self.sp & 0xFF
+
+    def _write_sp(self, address: int, value: int) -> None:
         if address == ioports.SPH:
             self.sp = (value << 8) | (self.sp & 0x00FF)
-            return
-        if address == ioports.SREG:
-            self.sreg = value
-            return
-        self.mem.write(address, value)
+        else:
+            self.sp = (self.sp & 0xFF00) | value
+
+    def _read_sreg(self, address: int) -> int:
+        return self.sreg
+
+    def _write_sreg(self, address: int, value: int) -> None:
+        self.sreg = value
 
     def push_byte(self, value: int) -> None:
         self.data_write(self.sp, value)

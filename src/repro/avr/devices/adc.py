@@ -42,14 +42,15 @@ class Adc:
         return CONVERSION_ADC_CLOCKS * self.prescaler
 
     def attach(self, cpu) -> None:
+        """Claim ADCL/ADCH (result), ADCSRA (control) and ADMUX."""
         self._cpu = cpu
-        mem = cpu.mem
-        mem.install_read_hook(ioports.ADCL, lambda: self._result & 0xFF)
-        mem.install_read_hook(ioports.ADCH, lambda: self._result >> 8)
-        mem.install_read_hook(ioports.ADCSRA, self._read_status)
-        mem.install_write_hook(ioports.ADCSRA, self._write_control)
-        mem.install_read_hook(ioports.ADMUX, lambda: self.channel)
-        mem.install_write_hook(ioports.ADMUX, self._write_mux)
+        io_read, io_write = cpu.io_read, cpu.io_write
+        io_read[ioports.ADCL] = lambda _: self._result & 0xFF
+        io_read[ioports.ADCH] = lambda _: self._result >> 8
+        io_read[ioports.ADCSRA] = self._read_status
+        io_write[ioports.ADCSRA] = self._write_control
+        io_read[ioports.ADMUX] = lambda _: self.channel
+        io_write[ioports.ADMUX] = self._write_mux
 
     # -- signal generation ----------------------------------------------------
 
@@ -73,7 +74,7 @@ class Adc:
 
     # -- register behaviour ------------------------------------------------------
 
-    def _read_status(self) -> int:
+    def _read_status(self, address: int) -> int:
         status = 1 << ioports.ADEN
         if self._busy_until is not None:
             if self._cpu.cycles >= self._busy_until:
@@ -84,13 +85,13 @@ class Adc:
             status |= 1 << ioports.ADIF
         return status
 
-    def _write_control(self, value: int) -> None:
+    def _write_control(self, address: int, value: int) -> None:
         if value & (1 << ioports.ADSC) and self._busy_until is None:
             self._busy_until = self._cpu.cycles + self.conversion_cycles
             self._event = self._cpu.events.schedule(self._busy_until,
                                                     self._on_complete)
 
-    def _write_mux(self, value: int) -> None:
+    def _write_mux(self, address: int, value: int) -> None:
         self.channel = value & 0x1F
 
     def _complete(self) -> None:

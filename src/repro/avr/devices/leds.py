@@ -20,10 +20,11 @@ class Leds:
         self._cpu = None
 
     def attach(self, cpu) -> None:
+        """Claim PORTA."""
         self._cpu = cpu
-        cpu.mem.install_read_hook(ioports.PORTA, lambda: self.state)
-        cpu.mem.install_write_hook(ioports.PORTA, self._write)
+        cpu.io_read[ioports.PORTA] = lambda _: self.state
+        cpu.io_write[ioports.PORTA] = self._write
 
-    def _write(self, value: int) -> None:
+    def _write(self, address: int, value: int) -> None:
         self.state = value & 0x07
         self.changes.append(self.state)

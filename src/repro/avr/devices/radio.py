@@ -55,10 +55,11 @@ class Radio:
         self._event = None
 
     def attach(self, cpu) -> None:
+        """Claim UCSR0A (status) and UDR0 (TX on write, RX on read)."""
         self._cpu = cpu
-        cpu.mem.install_read_hook(ioports.UCSR0A, self._read_status)
-        cpu.mem.install_write_hook(ioports.UDR0, self._write_data)
-        cpu.mem.install_read_hook(ioports.UDR0, self._read_data)
+        cpu.io_read[ioports.UCSR0A] = self._read_status
+        cpu.io_write[ioports.UDR0] = self._write_data
+        cpu.io_read[ioports.UDR0] = self._read_data
 
     def deliver(self, payload: bytes) -> None:
         """Host-side injection: queue *payload* for the node to read."""
@@ -99,7 +100,7 @@ class Radio:
         return self._busy_until is None or \
             self._cpu.cycles >= self._busy_until
 
-    def _read_status(self) -> int:
+    def _read_status(self, address: int) -> int:
         status = 0
         if self._ready():
             status |= (1 << ioports.UDRE) | (1 << ioports.TXC)
@@ -107,7 +108,7 @@ class Radio:
             status |= 1 << RXC
         return status
 
-    def _write_data(self, value: int) -> None:
+    def _write_data(self, address: int, value: int) -> None:
         # Writes while busy are dropped, as on real hardware.
         if not self._ready():
             return
@@ -124,7 +125,7 @@ class Radio:
         self._busy_until = None
         self._event = None
 
-    def _read_data(self) -> int:
+    def _read_data(self, address: int) -> int:
         if self.rx_queue:
             return self.rx_queue.popleft()
         return 0

@@ -28,9 +28,11 @@ class _TimerBase:
         self._base_cycle = 0  # cycle at which the counter read 0
 
     def attach(self, cpu) -> None:
+        """Start counting from the current cycle and claim the timer's
+        registers in the CPU's routing tables."""
         self._cpu = cpu
         self._base_cycle = cpu.cycles
-        self._install_hooks(cpu)
+        self._claim(cpu)
 
     def count(self) -> int:
         elapsed = self._cpu.cycles - self._base_cycle
@@ -40,7 +42,7 @@ class _TimerBase:
         """Make the counter read *value* at the current cycle."""
         self._base_cycle = self._cpu.cycles - value * self.prescaler
 
-    def _install_hooks(self, cpu) -> None:
+    def _claim(self, cpu) -> None:
         raise NotImplementedError
 
 
@@ -50,10 +52,10 @@ class Timer0(_TimerBase):
     def __init__(self, prescaler: int = 32):
         super().__init__(prescaler)
 
-    def _install_hooks(self, cpu) -> None:
-        cpu.mem.install_read_hook(ioports.TCNT0, lambda: self.count() & 0xFF)
-        cpu.mem.install_write_hook(ioports.TCNT0,
-                                   lambda value: self.reset_to(value))
+    def _claim(self, cpu) -> None:
+        """Claim TCNT0."""
+        cpu.io_read[ioports.TCNT0] = lambda _: self.count() & 0xFF
+        cpu.io_write[ioports.TCNT0] = lambda _, value: self.reset_to(value)
 
 
 class Timer3(_TimerBase):
@@ -76,51 +78,51 @@ class Timer3(_TimerBase):
         self._fire_cycle: Optional[int] = None
         self._event = None
 
-    def _install_hooks(self, cpu) -> None:
-        mem = cpu.mem
-        mem.install_read_hook(ioports.TCNT3L, self._read_low)
-        mem.install_read_hook(ioports.TCNT3H, lambda: self._latched_high)
-        mem.install_write_hook(ioports.TCNT3L, self._write_low)
-        mem.install_write_hook(ioports.TCNT3H, self._write_high)
-        mem.install_read_hook(ioports.OCR3AL, lambda: self.ocr3a & 0xFF)
-        mem.install_read_hook(ioports.OCR3AH, lambda: self.ocr3a >> 8)
-        mem.install_write_hook(ioports.OCR3AL, self._write_ocr_low)
-        mem.install_write_hook(ioports.OCR3AH, self._write_ocr_high)
-        mem.install_read_hook(ioports.TCCR3B,
-                              lambda: 1 if self.irq_enabled else 0)
-        mem.install_write_hook(ioports.TCCR3B, self._write_control)
-        mem.install_read_hook(ioports.ETIFR, lambda: self.flag)
-        mem.install_write_hook(ioports.ETIFR, self._write_flag)
+    def _claim(self, cpu) -> None:
+        """Claim TCNT3L/H, OCR3AL/H, TCCR3B and ETIFR."""
+        io_read, io_write = cpu.io_read, cpu.io_write
+        io_read[ioports.TCNT3L] = self._read_low
+        io_read[ioports.TCNT3H] = lambda _: self._latched_high
+        io_write[ioports.TCNT3L] = self._write_low
+        io_write[ioports.TCNT3H] = self._write_high
+        io_read[ioports.OCR3AL] = lambda _: self.ocr3a & 0xFF
+        io_read[ioports.OCR3AH] = lambda _: self.ocr3a >> 8
+        io_write[ioports.OCR3AL] = self._write_ocr_low
+        io_write[ioports.OCR3AH] = self._write_ocr_high
+        io_read[ioports.TCCR3B] = lambda _: 1 if self.irq_enabled else 0
+        io_write[ioports.TCCR3B] = self._write_control
+        io_read[ioports.ETIFR] = lambda _: self.flag
+        io_write[ioports.ETIFR] = self._write_flag
 
     # -- register behaviour -------------------------------------------------
 
     def count16(self) -> int:
         return self.count() & 0xFFFF
 
-    def _read_low(self) -> int:
+    def _read_low(self, address: int) -> int:
         value = self.count16()
         self._latched_high = value >> 8
         return value & 0xFF
 
-    def _write_low(self, value: int) -> None:
+    def _write_low(self, address: int, value: int) -> None:
         self.reset_to((self._latched_high << 8) | value)
 
-    def _write_high(self, value: int) -> None:
+    def _write_high(self, address: int, value: int) -> None:
         self._latched_high = value
 
-    def _write_ocr_low(self, value: int) -> None:
+    def _write_ocr_low(self, address: int, value: int) -> None:
         self.ocr3a = (self.ocr3a & 0xFF00) | value
         self._arm()
 
-    def _write_ocr_high(self, value: int) -> None:
+    def _write_ocr_high(self, address: int, value: int) -> None:
         self.ocr3a = (value << 8) | (self.ocr3a & 0xFF)
         self._arm()
 
-    def _write_control(self, value: int) -> None:
+    def _write_control(self, address: int, value: int) -> None:
         self.irq_enabled = bool(value & 1)
         self._arm()
 
-    def _write_flag(self, value: int) -> None:
+    def _write_flag(self, address: int, value: int) -> None:
         # Writing 1 clears the flag, as on real hardware.
         self.flag &= ~value
 

@@ -85,54 +85,33 @@ class Flash:
 
 
 class DataMemory:
-    """The 4 KB SRAM plus register/I-O mapping of the data address space.
+    """The 4 KB data space as plain bytes, with bounds-checked access.
 
     Layout (ATmega128L):
 
-    * ``0x000-0x01F``  register file (handled by the CPU, not stored here)
+    * ``0x000-0x01F``  register file (the CPU's ``r``; not stored here)
     * ``0x020-0x0FF``  I/O and extended I/O registers
     * ``0x100-0x10FF`` internal SRAM
 
-    Device registers install read/write hooks; un-hooked I/O addresses
-    behave as plain bytes so programs can use them as scratch space, as
+    Who serves an address below ``RAM_START`` is decided by the CPU's
+    routing tables (:class:`~repro.avr.cpu.AvrCpu` ``io_read`` /
+    ``io_write``), not here.  I/O addresses no device claims stay plain
+    bytes of :attr:`data`, so programs can use them as scratch space, as
     real firmware sometimes does.
     """
 
     def __init__(self, size: int = ioports.DATA_SIZE):
         self.size = size
         self.data = bytearray(size)
-        self._read_hooks = {}
-        self._write_hooks = {}
-
-    def install_read_hook(self, address: int, hook) -> None:
-        """``hook() -> int`` services reads of *address*."""
-        self._read_hooks[address] = hook
-
-    def install_write_hook(self, address: int, hook) -> None:
-        """``hook(value: int) -> None`` services writes to *address*."""
-        self._write_hooks[address] = hook
-
-    def remove_hooks(self, address: int) -> None:
-        self._read_hooks.pop(address, None)
-        self._write_hooks.pop(address, None)
 
     def read(self, address: int) -> int:
         if not 0 <= address < self.size:
             raise MemoryFault(address, "read")
-        if address < ioports.RAM_START:
-            hook = self._read_hooks.get(address)
-            if hook is not None:
-                return hook() & 0xFF
         return self.data[address]
 
     def write(self, address: int, value: int) -> None:
         if not 0 <= address < self.size:
             raise MemoryFault(address, "write")
-        if address < ioports.RAM_START:
-            hook = self._write_hooks.get(address)
-            if hook is not None:
-                hook(value & 0xFF)
-                return
         self.data[address] = value & 0xFF
 
     # -- bulk helpers used by the kernel's stack relocation ------------------

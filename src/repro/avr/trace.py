@@ -84,11 +84,11 @@ _MAX_STRIP = 16_777_216
 
 #: On-disk artifact format version; any change to the generated source
 #: conventions or the artifact schema must bump this.
-STORE_VERSION = 3
+STORE_VERSION = 4
 
 #: I/O addresses a direct access to which ends the trace: SREG lives in
-#: the ``sr`` local, and SPL/SPH are virtualized against the task's
-#: region, staying on the dispatch path like SP_READ/SP_WRITE sites.
+#: the ``sr`` local, and an SP write may raise ``TaskFault``, which only
+#: the dispatch path turns into a task kill (as for SP_READ/SP_WRITE).
 _SHADOWED_IO = frozenset({ioports.SPL, ioports.SPH, ioports.SREG})
 
 
@@ -107,6 +107,7 @@ def _base_ns(cpu) -> dict:
     """The namespace every generated trace closure is exec'd against."""
     return {
         "cpu": cpu, "r": cpu.r, "mem": cpu.mem.data, "flash": cpu.flash,
+        "io_rd": cpu.io_read, "io_wr": cpu.io_write,
         "lf": _LOGIC_TABLE, "incf": _INC_TABLE, "decf": _DEC_TABLE,
         "lsrf": _LSR_TABLE, "asrf": _ASR_TABLE, "negf": _NEG_TABLE,
         "rorf0": _ROR_TABLES[0], "rorf1": _ROR_TABLES[1],

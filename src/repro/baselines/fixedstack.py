@@ -143,7 +143,7 @@ class FixedStackOS:
         self.cpu = AvrCpu(flash, clock_hz=self.clock_hz)
         for device in (Timer0(), Adc(), Radio(), Leds()):
             self.cpu.attach_device(device)
-        self._install_timer_hooks()
+        self._claim_timer3()
         self._plant_canaries()
         return True
 
@@ -152,21 +152,21 @@ class FixedStackOS:
             for offset in range(CANARY_BYTES):
                 self.cpu.mem.data[state.stack_lo + offset] = CANARY
 
-    def _install_timer_hooks(self) -> None:
-        """Per-thread virtual clock, LiteOS-style system calls stand-in."""
-        mem = self.cpu.mem
-        mem.install_write_hook(ioports.OCR3AH, self._write_ocr_high)
-        mem.install_write_hook(ioports.OCR3AL, self._write_ocr_low)
-        mem.install_read_hook(
-            ioports.TCNT3L, lambda: (self.cpu.cycles // 8) & 0xFF)
-        mem.install_read_hook(
-            ioports.TCNT3H, lambda: ((self.cpu.cycles // 8) >> 8) & 0xFF)
+    def _claim_timer3(self) -> None:
+        """Per-thread virtual clock, LiteOS-style system calls stand-in:
+        claims OCR3AL/H writes and TCNT3L/H reads in the CPU's tables."""
+        cpu = self.cpu
+        cpu.io_write[ioports.OCR3AH] = self._write_ocr_high
+        cpu.io_write[ioports.OCR3AL] = self._write_ocr_low
+        cpu.io_read[ioports.TCNT3L] = lambda _: (cpu.cycles // 8) & 0xFF
+        cpu.io_read[ioports.TCNT3H] = \
+            lambda _: ((cpu.cycles // 8) >> 8) & 0xFF
 
-    def _write_ocr_high(self, value: int) -> None:
+    def _write_ocr_high(self, address: int, value: int) -> None:
         if self._current is not None:
             self._current.timer_latch_high = value
 
-    def _write_ocr_low(self, value: int) -> None:
+    def _write_ocr_low(self, address: int, value: int) -> None:
         thread = self._current
         if thread is None:
             return

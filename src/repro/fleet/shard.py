@@ -212,6 +212,7 @@ class ShardRuntime:
                 "finished": node.finished,
                 "reboots": node.reboots,
             }
+            node.cpu.free_decode_caches()
         links = [link_stats_row(index, link)
                  for index, link in sorted(self.local_links.items())]
         links += [link_stats_row(index, link)

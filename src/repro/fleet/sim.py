@@ -183,6 +183,7 @@ def prime_caches(spec: FleetSpec,
             list(sources), adc_seed=derive_scratch_seed(spec.seed))
         fingerprint = probe.cpu.flash.fingerprint()
         if fingerprint in seen_images:
+            probe.cpu.free_decode_caches()
             continue
         seen_images.add(fingerprint)
         probe.run(max_cycles=min(prime_cycles, 120_000))
@@ -206,11 +207,13 @@ def prime_caches(spec: FleetSpec,
             fed.radio.deliver(payload[half:])
             while not fed.finished and fed.cpu.cycles < prime_cycles:
                 fed.run(max_cycles=fed.cpu.cycles + slice_cycles)
-        _prime_seams(sources, spec.seed, (probe, fed))
+        warm = _prime_seams(sources, spec.seed, (probe, fed))
+        for node in (probe, fed, warm):
+            node.cpu.free_decode_caches()
     return len(seen_images), time.process_time() - t0
 
 
-def _prime_seams(sources, seed: int, scratch) -> None:
+def _prime_seams(sources, seed: int, scratch) -> SensorNode:
     """Fuse every block the scratch nodes' traces chained behind a head.
 
     A trace leaves the dispatch loop at such a block when a seam check
@@ -218,7 +221,7 @@ def _prime_seams(sources, seed: int, scratch) -> None:
     enter one mid-loop that no scratch run ever entered.  The blocks
     are fused on a node whose task is alive — the unfed probe while it
     still waits for input, else a fresh node of the image — until no
-    newly compiled trace chains another.
+    newly compiled trace chains another.  Returns that node.
     """
     probe = scratch[0]
     warm = probe if not probe.finished else SensorNode.from_sources(
@@ -228,7 +231,7 @@ def _prime_seams(sources, seed: int, scratch) -> None:
     while True:
         todo = set().union(*(tracer.chained for tracer in tracers)) - fused
         if not todo:
-            return
+            return warm
         for pc in sorted(todo):
             warm.cpu._fuse_block(pc)
         fused |= todo

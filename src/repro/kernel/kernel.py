@@ -14,7 +14,7 @@ from typing import Callable, Dict, List, Optional
 from ..avr import ioports
 from ..avr.cpu import AvrCpu
 from ..avr.memory import Flash
-from ..errors import KernelError, OutOfMemory, SimulationError
+from ..errors import KernelError, OutOfMemory, SimulationError, TaskFault
 from ..toolchain.image import TargetImage
 from . import costs
 from .config import KernelConfig
@@ -86,6 +86,16 @@ class SenSmartKernel:
                           max_block=self.config.max_block_members)
         for device in devices:
             self.cpu.attach_device(device)
+        # The kernel claims its routing-table entries last, over any
+        # device: SPL/SPH translate the task's logical SP (§IV-C) and
+        # the Timer3 block is the per-task virtual timer (§IV-A).
+        io_read, io_write = self.cpu.io_read, self.cpu.io_write
+        for address in (ioports.SPL, ioports.SPH):
+            io_read[address] = self.read_sp
+            io_write[address] = self.write_sp
+        for address in ioports.TIMER3_ADDRESSES:
+            io_read[address] = self._virtual_timer_read
+            io_write[address] = self._virtual_timer_write
 
         self.translator = AddressTranslator(self.config)
         self.regions = RegionTable(self.config)
@@ -192,48 +202,43 @@ class SenSmartKernel:
         if self.current is not None:
             self.current.kernel_cycles += cycles
 
-    # -- virtualized I/O (SP / SREG / Timer3) ----------------------------------------
+    # -- virtualized I/O (SP / Timer3) -------------------------------------------------
 
-    def io_read(self, address: int) -> int:
-        cpu = self.cpu
-        if address == ioports.SPL or address == ioports.SPH:
-            region = self.region_of_current()
-            logical = self.translator.sp_to_logical(region, cpu.sp)
-            return logical & 0xFF if address == ioports.SPL \
-                else (logical >> 8) & 0xFF
-        if address == ioports.TCNT3L:
-            ticks = cpu.cycles // self.config.timer3_prescaler
-            self.current._timer_latch_high = (ticks >> 8) & 0xFF
-            return ticks & 0xFF
-        if address == ioports.TCNT3H:
-            return self.current._timer_latch_high
-        if address in (ioports.OCR3AL, ioports.OCR3AH, ioports.TCCR3B,
-                       ioports.ETIFR):
-            return self._virtual_timer_read(address)
-        return cpu.data_read(address)
+    def read_sp(self, address: int) -> int:
+        """The current task's logical SP byte at SPL/SPH."""
+        logical = self.translator.sp_to_logical(self.region_of_current(),
+                                                self.cpu.sp)
+        return (logical >> 8) & 0xFF if address == ioports.SPH \
+            else logical & 0xFF
 
-    def io_write(self, address: int, value: int) -> None:
-        cpu = self.cpu
-        value &= 0xFF
-        if address in (ioports.SPL, ioports.SPH):
-            # Indirect writes to the SP bytes follow SP-write semantics.
-            region = self.region_of_current()
-            logical = self.translator.sp_to_logical(region, cpu.sp)
-            if address == ioports.SPL:
-                logical = (logical & 0xFF00) | value
-            else:
-                logical = (value << 8) | (logical & 0x00FF)
-            cpu.sp = self.translator.sp_to_physical(region, logical)
-            return
-        if address in ioports.TIMER3_ADDRESSES:
-            self._virtual_timer_write(address, value)
-            return
-        cpu.data_write(address, value)
+    def write_sp(self, address: int, value: int) -> None:
+        """Set one byte of the current task's logical SP; an SP outside
+        the task's stack area raises :class:`TaskFault`, whichever
+        instruction (OUT, STS, ST/STD) wrote the byte."""
+        region = self.region_of_current()
+        translator = self.translator
+        logical = translator.sp_to_logical(region, self.cpu.sp)
+        if address == ioports.SPH:
+            logical = (value << 8) | (logical & 0x00FF)
+        else:
+            logical = (logical & 0xFF00) | value
+        physical = translator.sp_to_physical(region, logical)
+        if not region.p_h - 1 <= physical <= region.p_u - 1:
+            raise TaskFault(self.current.task_id,
+                            f"SP set outside stack area "
+                            f"(logical {logical:#06x})")
+        self.cpu.sp = physical
 
     # -- virtual timer service ------------------------------------------------------
 
     def _virtual_timer_read(self, address: int) -> int:
         task = self.current
+        if address == ioports.TCNT3L:
+            ticks = self.cpu.cycles // self.config.timer3_prescaler
+            task._timer_latch_high = (ticks >> 8) & 0xFF
+            return ticks & 0xFF
+        if address == ioports.TCNT3H:
+            return task._timer_latch_high
         if address == ioports.OCR3AL:
             return (task.timer_period_cycles
                     // self.config.timer3_prescaler) & 0xFF

@@ -43,9 +43,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from ..errors import TaskFault
 from ..rewriter.classify import PatchKind
 from . import costs
-from .translation import AccessClass
+from .translation import AccessClass, AddressTranslator
 
 #: The trap kinds traces chain through their fast arms.
 _CHAINABLE = frozenset({
@@ -57,29 +58,24 @@ _CHAINABLE = frozenset({
 def direct_access(params, region, config):
     """The one derivation of a direct (``LDS``/``STS``) access site.
 
-    Returns ``(access, effect, charge)``: the access class, the statement
-    performing the access (I/O through ``k_ioread``/``k_iowrite``, heap
-    and stack at the physical address baked for *region*), and the cycles
-    the trap charges — or None where the access faults (a stack address
-    outside the region at this geometry, or beyond logical space).
+    Returns ``(access, effect, charge)``: the access class and physical
+    address :meth:`AddressTranslator.to_physical` gives for *region*, the
+    statement performing the access (an I/O address through the CPU's
+    routing tables ``io_rd``/``io_wr``, heap and stack at the baked
+    physical address), and the cycles the trap charges — or None where
+    the access faults at this geometry.
     """
     mnemonic, reg, logical = params
-    rs = config.ram_start
-    store = mnemonic == "STS"
-    if logical < rs:
-        effect = f"k_iowrite({logical}, r[{reg}])" if store \
-            else f"r[{reg}] = k_ioread({logical})"
-        return AccessClass.IO, effect, 2 + costs.MEM_DIRECT_IO
-    if logical < rs + region.heap_size:
-        access = AccessClass.HEAP
-        physical = region.p_l + (logical - rs)
-    elif logical < config.memory_size:
-        access = AccessClass.STACK
-        physical = logical + (region.p_u - config.memory_size)
-        if not region.p_h <= physical < region.p_u:
-            return None
-    else:
+    try:
+        physical, access = AddressTranslator(config).to_physical(
+            region, logical, -1)
+    except TaskFault:
         return None
+    store = mnemonic == "STS"
+    if access is AccessClass.IO:
+        effect = f"io_wr[{physical}]({physical}, r[{reg}])" if store \
+            else f"r[{reg}] = io_rd[{physical}]({physical})"
+        return access, effect, 2 + costs.MEM_DIRECT_IO
     effect = f"mem[{physical}] = r[{reg}]" if store \
         else f"r[{reg}] = mem[{physical}]"
     return access, effect, 2 + costs.MEM_DIRECT_OTHER
@@ -225,8 +221,6 @@ class TrapSpecializer:
             "k_spec": self.stats,
             "k_slow": kernel.handlers.dispatch,
             "k_sched": kernel.scheduler_tick,
-            "k_ioread": kernel.io_read,
-            "k_iowrite": kernel.io_write,
             "k_bl": cpu._blocks,
         }
 

@@ -39,14 +39,6 @@ class AddressTranslator:
         self.ram_start = config.ram_start
         self.memory_size = config.memory_size
 
-    def classify(self, region: MemoryRegion,
-                 logical: int) -> AccessClass:
-        if logical < self.ram_start:
-            return AccessClass.IO
-        if logical < self.ram_start + region.heap_size:
-            return AccessClass.HEAP
-        return AccessClass.STACK
-
     def to_physical(self, region: MemoryRegion, logical: int,
                     task_id: int) -> Tuple[int, AccessClass]:
         """Translate a logical data address; raises TaskFault when the

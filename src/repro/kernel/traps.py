@@ -21,6 +21,10 @@ from .translation import AccessClass
 _PTR_BASE = {"X": 26, "X+": 26, "-X": 26, "Y": 28, "Y+": 28, "-Y": 28,
              "Z": 30, "Z+": 30, "-Z": 30}
 
+#: SP_READ/SP_WRITE params name the byte; the kernel's SP entries take
+#: its data-space address.
+_SP_BYTE = {"SPL": ioports.SPL, "SPH": ioports.SPH}
+
 #: Indirect-translation charge per access class.
 _INDIRECT_CHARGE = {
     AccessClass.IO: costs.MEM_INDIRECT_IO,
@@ -110,16 +114,11 @@ class TrapHandlers:
 
     def _load(self, logical: int) -> Tuple[int, AccessClass]:
         physical, access = self._translate(logical)
-        if access is AccessClass.IO:
-            return self.kernel.io_read(physical), access
-        return self.kernel.cpu.mem.data[physical], access
+        return self.kernel.cpu.data_read(physical), access
 
     def _store(self, logical: int, value: int) -> AccessClass:
         physical, access = self._translate(logical)
-        if access is AccessClass.IO:
-            self.kernel.io_write(physical, value)
-        else:
-            self.kernel.cpu.mem.data[physical] = value & 0xFF
+        self.kernel.cpu.data_write(physical, value)
         return access
 
     def mem_indirect(self, cpu, params, resume: int) -> None:
@@ -192,29 +191,14 @@ class TrapHandlers:
 
     def sp_read(self, cpu, params, resume: int) -> None:
         reg, which = params
-        region = self.kernel.region_of_current()
-        logical_sp = self.kernel.translator.sp_to_logical(region, cpu.sp)
-        cpu.r[reg] = (logical_sp & 0xFF) if which == "SPL" \
-            else (logical_sp >> 8) & 0xFF
+        cpu.r[reg] = self.kernel.read_sp(_SP_BYTE[which])
         self.kernel.charge(1 + costs.GET_SP)
         cpu.pc = resume
 
     def sp_write(self, cpu, params, resume: int) -> None:
         reg, which = params
-        kernel = self.kernel
-        region = kernel.region_of_current()
-        logical_sp = kernel.translator.sp_to_logical(region, cpu.sp)
-        if which == "SPL":
-            logical_sp = (logical_sp & 0xFF00) | cpu.r[reg]
-        else:
-            logical_sp = (cpu.r[reg] << 8) | (logical_sp & 0x00FF)
-        physical = kernel.translator.sp_to_physical(region, logical_sp)
-        if not region.p_h - 1 <= physical <= region.p_u - 1:
-            raise TaskFault(kernel.current.task_id,
-                            f"SP set outside stack area "
-                            f"(logical {logical_sp:#06x})")
-        cpu.sp = physical
-        kernel.charge(1 + costs.SET_SP)
+        self.kernel.write_sp(_SP_BYTE[which], cpu.r[reg])
+        self.kernel.charge(1 + costs.SET_SP)
         cpu.pc = resume
 
     # -- control flow -------------------------------------------------------------------
@@ -320,21 +304,21 @@ class TrapHandlers:
         mnemonic, operands = params
         kernel = self.kernel
         if mnemonic == "LDS":
-            cpu.r[operands[0]] = kernel.io_read(operands[1])
+            cpu.r[operands[0]] = cpu.data_read(operands[1])
         elif mnemonic == "STS":
-            kernel.io_write(operands[1], cpu.r[operands[0]])
+            cpu.data_write(operands[1], cpu.r[operands[0]])
         elif mnemonic == "IN":
-            cpu.r[operands[0]] = kernel.io_read(
+            cpu.r[operands[0]] = cpu.data_read(
                 ioports.io_to_data(operands[1]))
         elif mnemonic == "OUT":
-            kernel.io_write(ioports.io_to_data(operands[0]),
-                            cpu.r[operands[1]])
+            cpu.data_write(ioports.io_to_data(operands[0]),
+                           cpu.r[operands[1]])
         elif mnemonic in ("SBI", "CBI"):
             address = ioports.io_to_data(operands[0])
             mask = 1 << operands[1]
-            value = kernel.io_read(address)
-            kernel.io_write(address, (value | mask) if mnemonic == "SBI"
-                            else (value & ~mask))
+            value = cpu.data_read(address)
+            cpu.data_write(address, (value | mask) if mnemonic == "SBI"
+                           else (value & ~mask))
         else:
             raise TaskFault(kernel.current.task_id,
                             f"unsupported Timer3 access {mnemonic}")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.avr.cpu import AvrCpu
 from repro.errors import ReproError
 from repro.faults.plan import FaultPlan
 from repro.fleet import (FleetSim, FleetSpec, Topology, build_spec, grid,
@@ -101,6 +102,24 @@ def test_shard_count_invariance_clean():
     for r in results.values():
         assert r.finished_nodes == 16
         assert sum(r.compiled_per_shard) <= 2, r.compiled_per_shard
+
+
+def test_finished_nodes_free_their_decode_caches(monkeypatch):
+    """Priming's scratch nodes and every shard node empty their
+    flash-sized decode lists once done, instead of holding about 1 MB
+    each until a full garbage collection happens to run."""
+    built = []
+    init = AvrCpu.__init__
+
+    def spy(cpu, *args, **kwargs):
+        init(cpu, *args, **kwargs)
+        built.append(cpu)
+
+    monkeypatch.setattr(AvrCpu, "__init__", spy)
+    result = FleetSim(_quick_spec(), shards=1).run()
+    assert result.finished_nodes == 16
+    assert len(built) > 16  # the shard's nodes plus priming's scratch
+    assert all(not cpu._exec and not cpu._blocks for cpu in built)
 
 
 def test_attack_workload_digest_invariant_and_contained():

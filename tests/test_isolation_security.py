@@ -10,6 +10,8 @@ the kernel must be unharmed.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.kernel import KernelConfig, SensorNode
 from repro.kernel.task import TaskState
 
@@ -82,18 +84,49 @@ sweep:
     assert_victim_unharmed(node)
 
 
-def test_sp_forgery_is_rejected():
-    attacker = """
-main:
-    ldi r16, 0x00
-    out 0x3D, r16               ; logical SPL = 0
-    ldi r16, 0x02
-    out 0x3E, r16               ; logical SP = 0x0200: inside the heap
-    push r16                    ; zone of the logical space -> reject
-    break
-"""
-    node = run_pair(attacker)
-    assert "fault" in node.task_named("attacker").exit_reason
+# The three ways to write the SP bytes, SPL then SPH (r16, r17).
+_SP_WRITES = {
+    "out": "    out 0x3D, r16\n    out 0x3E, r17\n",
+    "sts": "    sts 0x5D, r16\n    sts 0x5E, r17\n",
+    "st_x": "    ldi r26, 0x5D\n    ldi r27, 0\n"
+            "    st X+, r16\n    st X, r17\n",
+}
+
+
+def _sp_forger(form: str, logical_sp: int) -> str:
+    """Forge the SP to *logical_sp* through *form*, then push 0xEE
+    twice: the pushes land on the two bytes at and below the forged
+    SP, wherever it points."""
+    return (f"main:\n    ldi r16, {logical_sp & 0xFF}\n"
+            f"    ldi r17, {logical_sp >> 8}\n" + _SP_WRITES[form]
+            + "    ldi r18, 0xEE\n    push r18\n    push r18\n"
+              "    break\n")
+
+
+@pytest.mark.parametrize("fuse", [True, False], ids=["fused", "stepwise"])
+@pytest.mark.parametrize("form", sorted(_SP_WRITES))
+def test_sp_forgery_is_rejected(form, fuse):
+    """Every instruction that writes SPL/SPH gets the same stack-area
+    check.  The attacker sits below the victim and aims its SP at the
+    victim's ``treasure+3``, so two pushes would write ``treasure+2..3``,
+    heap bytes the victim itself never writes."""
+    def boot(logical_sp):
+        return SensorNode.from_sources(
+            [("attacker", _sp_forger(form, logical_sp)),
+             ("victim", VICTIM)],
+            config=KernelConfig(time_slice_cycles=20_000), fuse=fuse)
+
+    probe = boot(0).kernel
+    config = probe.config
+    attacker_p_u = probe.regions.by_task(0).p_u
+    treasure = probe.regions.by_task(1).p_l
+    assert attacker_p_u <= treasure  # the attacker sits below
+    node = boot(treasure + 3 - (attacker_p_u - config.memory_size))
+    node.run(max_instructions=20_000_000)
+    assert node.finished
+    assert node.task_named("attacker").exit_reason.startswith(
+        "fault: SP set outside stack area")
+    assert node.cpu.mem.data[treasure + 2:treasure + 4] == b"\0\0"
     assert_victim_unharmed(node)
 
 

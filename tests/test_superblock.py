@@ -82,10 +82,13 @@ def _run(source: str, fuse: bool, **kwargs) -> AvrCpu:
 
 
 def test_fused_state_identical_to_stepwise():
-    fused = _run(_SOUP, fuse=True)
-    stepwise = _run(_SOUP, fuse=False)
-    assert fused.halted and stepwise.halted
-    assert _state(fused) == _state(stepwise)
+    # _SPIN is also the native half of the dual-mode check that
+    # test_kernel_bit_identical_across_modes makes kernelized.
+    for source in (_SOUP, _SPIN):
+        fused = _run(source, fuse=True)
+        stepwise = _run(source, fuse=False)
+        assert fused.halted and stepwise.halted
+        assert _state(fused) == _state(stepwise)
 
 
 def test_fused_max_cycles_stop_is_exact():

@@ -273,6 +273,71 @@ def test_polling_loops_match_stepwise_at_every_stop(name):
             break
 
 
+class _IrqAfterReads:
+    """Test device claiming the unclaimed I/O address 0x30: its 40th
+    read raises an interrupt, and it reads 1 from the 43rd read on."""
+
+    ADDRESS = 0x30
+
+    def __init__(self):
+        self.reads = 0
+        self._cpu = None
+
+    def attach(self, cpu) -> None:
+        self._cpu = cpu
+        cpu.io_read[self.ADDRESS] = self._read
+
+    def _read(self, address: int) -> int:
+        self.reads += 1
+        if self.reads == 40:
+            self._cpu.raise_interrupt(0x0004)
+        return 1 if self.reads >= 43 else 0
+
+
+_IRQ_POLL = f"""
+main:
+    sei
+poll:
+    lds r16, {_IrqAfterReads.ADDRESS}
+    sbrs r16, 0
+    rjmp poll
+    break
+"""
+
+
+def test_interrupt_raised_by_a_polled_read_stops_the_trace():
+    """A device read inside a trace that raises an interrupt pins the
+    trace's event horizon, so the trace exits at its next seam and the
+    dispatch loop takes the interrupt after the same instruction as
+    stepwise execution.  Each stop boots a fresh traced node, so the
+    trace runs the poll loop from the start instead of one instruction
+    per call.  The vector lands on erased flash, so the task ends in an
+    invalid-instruction fault: a deterministic end state."""
+    image = _boot([("irq_poll", _IRQ_POLL)]).kernel.image
+    cache = SuperblockCache()
+
+    def boot(fuse, block_cache=cache):
+        node = SensorNode.from_image(image, config=KernelConfig(fuse=fuse),
+                                     block_cache=block_cache)
+        node.cpu.attach_device(_IrqAfterReads())
+        return node
+
+    stepwise = boot(fuse=False)
+    for stop in (*range(1, 400), 1_000, 5_000, 20_000):
+        traced = boot(fuse=True)
+        traced.run(max_instructions=stop)
+        stepwise.run(max_instructions=stop)
+        assert _digest(traced) == _digest(stepwise), stop
+        assert traced.cpu._devices[-1].reads == \
+            stepwise.cpu._devices[-1].reads, stop
+    reason = stepwise.task_named("irq_poll").exit_reason
+    assert reason.startswith("fault") and "invalid" in reason, reason
+    whole = boot(fuse=True, block_cache=False)  # compiles its own traces
+    whole.run(max_instructions=20_000)
+    assert _digest(whole) == _digest(stepwise)
+    _assert_polling_chained(whole)
+
+
 @pytest.mark.parametrize("name", sorted(_POLLING))
 def test_polling_loops_stop_on_until_like_untraced(name):
     """``until()`` is evaluated once per dispatch, and a pending

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.avr import ioports
 from repro.avr.cpu import SuperblockCache
 from repro.avr.devices.radio import Radio
 from repro.avr.trace import TraceCompiler
@@ -182,7 +183,7 @@ def test_radio_tx_ring_evicts_and_counts():
     radio = Radio(byte_cycles=10, tx_log_limit=4)
     radio._cpu = cpu = _StubCpu()
     for value in range(0x40, 0x46):  # 6 bytes through a 4-entry ring
-        radio._write_data(value)
+        radio._write_data(ioports.UDR0, value)
         cpu.cycles += 10
     assert radio.tx_seq == 6
     assert radio.tx_log_dropped == 2
