@@ -35,7 +35,7 @@ Two integration points exist for the SenSmart kernel:
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, List, Optional, Tuple
+from typing import Callable, Deque, List, Optional, Set, Tuple
 
 from ..errors import InvalidInstruction, MemoryFault, SimulationError
 from ..sim.events import INFINITY, SimClock
@@ -280,6 +280,16 @@ class AvrCpu(SimClock):
     and SP bytes, else plain :class:`DataMemory` bytes until a device,
     and then the kernel, claims the entry by assignment.  Entries take
     the address so that one bound method serves every plain entry.
+
+    ``io_stable`` is the set of I/O addresses whose reads are *stable*:
+    at any cycle before ``events.next_due`` a read returns the same
+    byte and changes no state, as long as nothing but reads of stable
+    addresses happens in between (no data-space write, no read of
+    another address, no host call).  It starts empty; a device adds an
+    address beside its claim only when the byte changes at a scheduled
+    event or such an access alone, and the kernel discards every
+    address it claims over.  Traces skip idle poll iterations only on
+    such reads (see :mod:`repro.avr.trace`).
     """
 
     def __init__(self, flash: Flash, memory: Optional[DataMemory] = None,
@@ -309,6 +319,7 @@ class AvrCpu(SimClock):
             self.io_write[address] = self._write_sp
         self.io_read[ioports.SREG] = self._read_sreg
         self.io_write[ioports.SREG] = self._write_sreg
+        self.io_stable: Set[int] = set()
         self._exec: List[Optional[Callable[[], None]]] = \
             [None] * flash.size_words
         #: Trace entries: pc -> (closure, instructions, member cycles).
@@ -350,7 +361,8 @@ class AvrCpu(SimClock):
     def attach_device(self, device) -> None:
         """Attach a device (timer/ADC/...).
 
-        Devices claim ``io_read``/``io_write`` entries and schedule their
+        Devices claim ``io_read``/``io_write`` entries (adding the ones
+        whose reads are stable to ``io_stable``) and schedule their
         timed effects on ``self.events``; there is no per-instruction
         polling.
         """

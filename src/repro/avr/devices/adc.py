@@ -42,13 +42,18 @@ class Adc:
         return CONVERSION_ADC_CLOCKS * self.prescaler
 
     def attach(self, cpu) -> None:
-        """Claim ADCL/ADCH (result), ADCSRA (control) and ADMUX."""
+        """Claim ADCL/ADCH (result), ADCSRA (control) and ADMUX.
+
+        ADCSRA is stable: a read completes a conversion lazily only at
+        cycles >= ``_busy_until``, when its completion event is due.
+        """
         self._cpu = cpu
         io_read, io_write = cpu.io_read, cpu.io_write
         io_read[ioports.ADCL] = lambda _: self._result & 0xFF
         io_read[ioports.ADCH] = lambda _: self._result >> 8
         io_read[ioports.ADCSRA] = self._read_status
         io_write[ioports.ADCSRA] = self._write_control
+        cpu.io_stable.add(ioports.ADCSRA)
         io_read[ioports.ADMUX] = lambda _: self.channel
         io_write[ioports.ADMUX] = self._write_mux
 

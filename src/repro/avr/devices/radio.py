@@ -55,9 +55,15 @@ class Radio:
         self._event = None
 
     def attach(self, cpu) -> None:
-        """Claim UCSR0A (status) and UDR0 (TX on write, RX on read)."""
+        """Claim UCSR0A (status) and UDR0 (TX on write, RX on read).
+
+        UCSR0A is stable: its bits change only at the TX-done event, at
+        a network arrival (an event) or host :meth:`deliver`, and on a
+        UDR0 access.  UDR0 is not: a read pops the RX queue.
+        """
         self._cpu = cpu
         cpu.io_read[ioports.UCSR0A] = self._read_status
+        cpu.io_stable.add(ioports.UCSR0A)
         cpu.io_write[ioports.UDR0] = self._write_data
         cpu.io_read[ioports.UDR0] = self._read_data
 

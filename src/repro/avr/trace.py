@@ -21,6 +21,10 @@ state:
   *strip-mined*: the iteration count to the next observable boundary is
   computed up front and the loop body runs that many times with no
   per-iteration limit checks at all;
+* an idle poll loop is *fast-forwarded*: when an iteration of a loop
+  that stores nothing left its registers and SREG unchanged and every
+  port it read is stable (``AvrCpu.io_stable``), the iterations up to
+  the next observable boundary are skipped in closed form;
 * SREG liveness (per-mnemonic masks from
   :mod:`repro.analysis.static.liveness`) elides flag computation that no
   successor inside the trace can observe, and defers a branch-feeding
@@ -64,6 +68,7 @@ import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
+from ..analysis.static.dataflow import _written_regs
 from ..analysis.static.liveness import sreg_effects
 from ..fingerprint import content_key
 from ..errors import InvalidInstruction, MemoryFault
@@ -84,7 +89,7 @@ _MAX_STRIP = 16_777_216
 
 #: On-disk artifact format version; any change to the generated source
 #: conventions or the artifact schema must bump this.
-STORE_VERSION = 4
+STORE_VERSION = 5
 
 #: I/O addresses a direct access to which ends the trace: SREG lives in
 #: the ``sr`` local, and an SP write may raise ``TaskFault``, which only
@@ -107,7 +112,7 @@ def _base_ns(cpu) -> dict:
     """The namespace every generated trace closure is exec'd against."""
     return {
         "cpu": cpu, "r": cpu.r, "mem": cpu.mem.data, "flash": cpu.flash,
-        "io_rd": cpu.io_read, "io_wr": cpu.io_write,
+        "io_rd": cpu.io_read, "io_wr": cpu.io_write, "io_st": cpu.io_stable,
         "lf": _LOGIC_TABLE, "incf": _INC_TABLE, "decf": _DEC_TABLE,
         "lsrf": _LSR_TABLE, "asrf": _ASR_TABLE, "negf": _NEG_TABLE,
         "rorf0": _ROR_TABLES[0], "rorf1": _ROR_TABLES[1],
@@ -151,10 +156,11 @@ class _Member:
     """One fused instruction inside a trace node."""
 
     __slots__ = ("effect", "flags", "cycles", "touches", "preds",
-                 "reads", "writes", "elided")
+                 "reads", "writes", "elided", "ins")
 
     def __init__(self, effect, flags, cycles, touches, preds, reads,
-                 writes):
+                 writes, ins):
+        self.ins = ins          # the decoded instruction
         self.effect = effect    # register/memory effect lines
         self.flags = flags      # separable SREG update lines
         self.cycles = cycles
@@ -171,7 +177,7 @@ class _Node:
     __slots__ = ("start", "members", "count", "cost", "kind", "facts",
                  "cont", "bit", "reg", "branch_if_set", "taken", "fall",
                  "target", "jcycles", "nat_target", "strip", "deferred",
-                 "strip_elide", "kind_index")
+                 "strip_elide", "kind_index", "step")
 
     def __init__(self, start, members):
         self.start = start
@@ -195,6 +201,8 @@ class _Node:
         self.deferred = False    # last member's flags deferred past test
         self.strip_elide = False
         self.kind_index = None   # index into the per-kind count locals
+        self.step = None         # (cycles, kernel cycles) of the arm
+                                 # that continues to ``cont``
 
 
 #: Default cap on files a :class:`TraceStore` directory may hold; the
@@ -570,7 +578,7 @@ class TraceCompiler:
             self._note_tables(ins, uid[0], manifest)
             uid[0] += 1
             members.append(_Member(effect, flags, cycles, touches,
-                                   preds, reads, writes))
+                                   preds, reads, writes, ins))
             cur = ins.next_address
         if not head:
             return None
@@ -705,6 +713,124 @@ class _Emitter:
                 node.kind_index = self.kind_order.index(name)
         self._decide(nodes)
         self.uses_sr = self._uses_sr(nodes)
+        self.idle = self._idle_loop(nodes)
+        self.skips = False  # a backedge emitted the idle-loop skip
+
+    # -- idle-loop fast-forward ---------------------------------------------------
+
+    @staticmethod
+    def _idle_loop(nodes):
+        """``(registers, ports)`` when a loop of this trace may be
+        fast-forwarded, else None.
+
+        It qualifies when it reads at least one I/O port with a direct
+        load, stores nothing (no ``STS`` member, no storing, pointer,
+        stack or call trap) and strip-mines nothing.  *registers* is
+        every register the trace writes (member clobbers and ``LDS``
+        destinations), *ports* every I/O address it loads.
+        """
+        from ..kernel.specialize import direct_access
+        from ..kernel.translation import AccessClass
+        regs: Set[int] = set()
+        ports: Set[int] = set()
+        for node in nodes:
+            for member in node.members:
+                if member.ins.mnemonic == "STS":
+                    return None
+                regs.update(_written_regs(member.ins))
+            if node.strip:
+                return None
+            if node.facts is None:
+                continue
+            name = node.facts.kind.name
+            if name == "MEM_DIRECT":
+                mnemonic, reg, address = node.facts.params
+                if mnemonic == "STS":
+                    return None
+                regs.add(reg)
+                access = direct_access(node.facts.params,
+                                       node.facts.region, node.facts.config)
+                if access[0] is AccessClass.IO:
+                    ports.add(address)
+            elif name != "BRANCH_BACKWARD":
+                return None
+        if not ports:
+            return None
+        return tuple(sorted(regs)), tuple(sorted(ports))
+
+    @staticmethod
+    def _clear_iterations(cycles: int, count: int, branches: int,
+                          look_n: int, look_c: int) -> str:
+        """Expression: how many more iterations of a loop, each advancing
+        ``cy`` by *cycles*, ``n`` by *count* and taking *branches* off
+        the branch counter, end before the next observable boundary.
+
+        A boundary is the counter reaching zero (the 1-in-256 ``k_sched``
+        entry), the next due event (``da``), or a run limit: after each
+        counted iteration a block of *look_n* instructions and *look_c*
+        member cycles must still fit under ``mi`` and ``mc``.  The count
+        is capped at ``_MAX_STRIP``; infinite ``da``/``mi``/``mc`` give
+        NaN terms, which never win the ``min`` after the integer cap.
+        """
+        terms = [str(_MAX_STRIP)]
+        if branches:
+            terms.append(f"(tb - 1) // {branches}")
+        terms += [f"(da - cy - 1) // {cycles}",
+                  f"(mi - n - {look_n}) // {count}",
+                  f"(mc - cy - {look_c + 1}) // {cycles}"]
+        return f"min({', '.join(terms)})"
+
+    def _idle_skip(self, node: _Node, step) -> List[str]:
+        """Fast-forward at a backedge from *node*, whose looping arm
+        costs *step* ``(cycles, kernel cycles)``.
+
+        The loop stores nothing, so an iteration reads only registers,
+        SREG, SRAM and the ports it loads.  When the iteration just run
+        left every register it writes and SREG as they were at the loop
+        head, and every port it read is stable until ``da`` on this CPU
+        (traces are shared across device sets, so that is tested here,
+        at run time), the next iterations repeat it exactly: the same
+        path and the same per-iteration deltas.  Skip every one of them
+        that ends before the next observable boundary; the iteration
+        that meets it runs for real, so stops, traps and ``k_sched``
+        land where stepwise execution puts them.  ``da`` is -1 under
+        ``until()`` and once an interrupt is pending: no skip.
+        """
+        path = self.nodes[:self.nodes.index(node)]
+        cycles = sum(p.step[0] for p in path) + step[0]
+        kernel = sum(p.step[1] for p in path) + step[1]
+        path.append(node)
+        count = sum(p.count + 1 for p in path)
+        traps = [p for p in path if p.facts is not None]
+        branches = sum(p.facts.kind.name == "BRANCH_BACKWARD"
+                       for p in traps)
+        regs, ports = self.idle
+        head = self.nodes[0]
+        test = [f"r[{reg}] == q{reg}" for reg in regs]
+        if self.uses_sr:
+            test.append("sr == qs")
+        test.append("da >= 0")
+        test += [f"{port} in io_st" for port in ports]
+        deltas = [("cy +=", cycles), ("n +=", count), ("kc +=", kernel),
+                  ("tb -=", branches)]
+        deltas += [(f"c{i} +=", sum(p.kind_index == i for p in traps))
+                   for i in range(len(self.kind_order))]
+        advance = ["qk = int(qk)"]
+        advance += [f"{target} qk * {per}" for target, per in deltas if per]
+        self.skips = True
+        return ([f"if {' and '.join(test)}:",
+                 "    qk = " + self._clear_iterations(
+                     cycles, count, branches, head.count + 1, head.cost),
+                 "    if qk > 0:"]
+                + _ind(advance, 2))
+
+    def _snapshot(self) -> List[str]:
+        """Loop-head copies of what an idle iteration must leave as is."""
+        regs, _ = self.idle
+        lines = [f"q{reg} = r[{reg}]" for reg in regs]
+        if self.uses_sr:
+            lines.append("qs = sr")
+        return lines
 
     # -- liveness decisions -------------------------------------------------------
 
@@ -859,8 +985,15 @@ class _Emitter:
             lines += pending[0]
         return lines
 
-    def _backedge(self, pending) -> List[str]:
-        return self._seam(self.nodes[0], pending) + ["continue"]
+    def _backedge(self, pending, node: _Node, step) -> List[str]:
+        """Close the loop from *node*, whose looping arm costs *step*."""
+        lines = self._seam(self.nodes[0], pending)
+        if self.idle is not None:
+            if pending and not pending[1] & ~self._safe_entry(
+                    self.nodes[0]):
+                lines += pending[0]  # the skip compares SREG in full
+            lines += self._idle_skip(node, step)
+        return lines + ["continue"]
 
     # -- per-node bodies ----------------------------------------------------------
 
@@ -911,19 +1044,22 @@ class _Emitter:
         test = self._taken_test(node)
         mats = pending[0] if pending else ()
         lines.append(f"n += {node.count + 1}")
-        taken = [f"cy += {node.cost + node.jcycles}"]
+        taken_cycles = node.cost + node.jcycles
+        taken = [f"cy += {taken_cycles}"]
         if node.taken == self.head_addr:
-            taken += self._backedge(pending)
+            taken += self._backedge(pending, node, (taken_cycles, 0))
         else:
             taken += self._flush(node.taken, "plain", mats=mats)
         lines.append(f"if {test}:")
         lines += _ind(taken)
-        lines.append(f"cy += {node.cost + 1}")
+        node.step = (node.cost + 1, 0)
+        lines.append(f"cy += {node.step[0]}")
         return lines, pending
 
     def _jmp_body(self, node: _Node):
+        node.step = (node.cost + node.jcycles, 0)
         lines = self._member_lines(node)
-        lines += [f"cy += {node.cost + node.jcycles}",
+        lines += [f"cy += {node.step[0]}",
                   f"n += {node.count + 1}"]
         return lines, None
 
@@ -1013,7 +1149,7 @@ class _Emitter:
         if facts.elide == "stack":
             # Certificate-validated: ta is always a live stack address.
             return lines + [f"tp = ta + ({stack_disp})"] + arm_stack
-        slow = self._slow_call(facts)
+        slow = self._flush(facts.site, "plain", slow=self._slow_call(facts))
         lines.append(f"if {rs} <= ta < {heap_high}:")
         lines += _ind(arm_heap)
         lines.append(f"elif {heap_high} <= ta < {mem_size}:")
@@ -1021,9 +1157,9 @@ class _Emitter:
         lines.append(f"    if tp >= {region.p_h}:")
         lines += _ind(arm_stack, 2)
         lines.append("    else:")
-        lines += _ind(self._flush(None, "plain", slow=slow), 2)
+        lines += _ind(slow, 2)
         lines.append("else:")
-        lines += _ind(self._flush(None, "plain", slow=slow))
+        lines += _ind(slow)
         return lines
 
     def _mem_direct_body(self, node: _Node) -> List[str]:
@@ -1045,6 +1181,7 @@ class _Emitter:
         else:
             lines.append(effect)
         lines += [f"cy += {charge}", f"kc += {charge}", "n += 1"]
+        node.step = (node.cost + charge, charge)
         return lines
 
     def _stack_push_body(self, node: _Node) -> List[str]:
@@ -1066,7 +1203,7 @@ class _Emitter:
         lines += ["tsp = cpu.sp", f"if tsp >= {floor}:"]
         lines += _ind(fast)
         lines.append("else:")
-        lines += _ind(self._flush(None, "plain",
+        lines += _ind(self._flush(facts.site, "plain",
                                   slow=self._slow_call(facts)))
         return lines
 
@@ -1089,7 +1226,7 @@ class _Emitter:
         lines.append(f"if tsp < {region.p_u}:")
         lines += _ind(fast)
         lines.append("else:")
-        lines += _ind(self._flush(None, "plain",
+        lines += _ind(self._flush(facts.site, "plain",
                                   slow=self._slow_call(facts)))
         return lines
 
@@ -1114,7 +1251,7 @@ class _Emitter:
         lines += ["tsp = cpu.sp", f"if tsp - 1 >= {floor}:"]
         lines += _ind(fast)
         lines.append("else:")
-        lines += _ind(self._flush(None, "plain",
+        lines += _ind(self._flush(facts.site, "plain",
                                   slow=self._slow_call(facts)))
         return lines
 
@@ -1127,32 +1264,32 @@ class _Emitter:
         lines = self._member_lines(node)
         lines += [f"n += {node.count + 1}", f"{counter} += 1",
                   "tb -= 1"]
+        taken_step = (node.cost + 2 + inline, 2 + inline)
+        taken = [f"cy += {taken_step[0]}", f"kc += {taken_step[1]}"]
         if node.bit is None:
-            lines += [f"cy += {node.cost + 2 + inline}",
-                      f"kc += {2 + inline}"]
+            lines += taken
             if node.nat_target == self.head_addr:
                 lines.append("if tb <= 0:")
                 lines += _ind(self._flush(node.nat_target, "reset"))
-                lines += self._backedge(None)
+                lines += self._backedge(None, node, taken_step)
             else:
                 lines += self._flush(node.nat_target, "check")
             return lines, None
         pending = self._pending(node)
         test = self._taken_test(node)
         mats = pending[0] if pending else ()
-        taken = [f"cy += {node.cost + 2 + inline}",
-                 f"kc += {2 + inline}"]
         if node.nat_target == self.head_addr:
             taken.append("if tb <= 0:")
             taken += _ind(self._flush(node.nat_target, "reset",
                                       mats=mats))
-            taken += self._backedge(pending)
+            taken += self._backedge(pending, node, taken_step)
         else:
             taken += self._flush(node.nat_target, "check", mats=mats)
         lines.append(f"if {test}:")
         lines += _ind(taken)
-        lines += [f"cy += {node.cost + 1 + inline}",
-                  f"kc += {1 + inline}",
+        node.step = (node.cost + 1 + inline, 1 + inline)
+        lines += [f"cy += {node.step[0]}",
+                  f"kc += {node.step[1]}",
                   "if tb <= 0:"]
         lines += _ind(self._flush(resume, "reset", mats=mats))
         return lines, pending
@@ -1179,9 +1316,10 @@ class _Emitter:
         taken_kernel = 2 + inline
         inloop = self._member_lines(node)
         mats = list(node.members[-1].flags) if node.strip_elide else []
-        bounds = (f"im = min(tb, (mi - n) // {iter_count} - 1, "
-                  f"(mc - {node.cost} - cy) // {taken_cycles}, "
-                  f"(da - cy) // {taken_cycles}, {_MAX_STRIP})")
+        # The iterations that end before every boundary, plus the one
+        # that may meet it: the exit check below sees that one.
+        bounds = "im = " + _Emitter._clear_iterations(
+            taken_cycles, iter_count, 1, iter_count, node.cost) + " + 1"
         account = [f"cy += im * {taken_cycles}",
                    f"n += im * {iter_count}",
                    "tb -= im",
@@ -1252,7 +1390,8 @@ class _Emitter:
                 lines.append(f"cpu.cycles += {head.cost}")
             if head.count:
                 lines.append(f"cpu.instret += {head.count}")
-            lines += [self._slow_call(head.facts), "cpu.instret += 1"]
+            lines += [f"cpu.pc = {head.facts.site}",
+                      self._slow_call(head.facts), "cpu.instret += 1"]
         elif head.kind in ("brcond", "skip"):
             test = self._taken_test(head, "sr" if touches else "cpu.sreg")
             lines += [f"if {test}:",
@@ -1301,10 +1440,13 @@ class _Emitter:
             node_lines, pending = self._node_body(node)
             inner += node_lines
         if self.tail == ("backedge",):
-            inner += self._backedge(pending)
+            last = self.nodes[-1]
+            inner += self._backedge(pending, last, last.step)
         elif self.tail[0] == "exit":
             mats = pending[0] if pending else ()
             inner += self._flush(self.tail[1], "plain", mats=mats)
         # ("end",): the last node resolved every arm internally.
+        if self.skips:
+            inner = self._snapshot() + inner
         body += _ind(inner)
         return "def _blk():\n" + "\n".join(_ind(body))

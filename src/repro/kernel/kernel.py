@@ -88,7 +88,8 @@ class SenSmartKernel:
             self.cpu.attach_device(device)
         # The kernel claims its routing-table entries last, over any
         # device: SPL/SPH translate the task's logical SP (§IV-C) and
-        # the Timer3 block is the per-task virtual timer (§IV-A).
+        # the Timer3 block is the per-task virtual timer (§IV-A).  No
+        # address it takes over keeps a device's stable-read promise.
         io_read, io_write = self.cpu.io_read, self.cpu.io_write
         for address in (ioports.SPL, ioports.SPH):
             io_read[address] = self.read_sp
@@ -96,6 +97,8 @@ class SenSmartKernel:
         for address in ioports.TIMER3_ADDRESSES:
             io_read[address] = self._virtual_timer_read
             io_write[address] = self._virtual_timer_write
+        self.cpu.io_stable.difference_update(
+            (ioports.SPL, ioports.SPH, *ioports.TIMER3_ADDRESSES))
 
         self.translator = AddressTranslator(self.config)
         self.regions = RegionTable(self.config)

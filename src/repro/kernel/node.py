@@ -182,6 +182,7 @@ class SensorNode:
                                              self._block_cache)
         kernel.cpu.cycles = now + boot_delay_cycles
         self.stats_history.append(self.kernel.stats)
+        self.kernel.cpu.free_decode_caches()
         self.kernel = kernel
         self.devices = devices
         self.crashed = False

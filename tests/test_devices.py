@@ -228,3 +228,57 @@ recv:
     assert bytes(cpu.mem.data[0x200:0x200 + 255]) == payload
     assert not cpu.r[18] & (1 << RXC)
     assert not radio.rx_queue
+
+
+# -- read stability (what lets traces fast-forward idle polls) --------------------
+
+def _device_state(radio, adc):
+    return (radio._busy_until, radio._event, tuple(radio.rx_queue),
+            radio.tx_seq, tuple(radio._tx_ring), adc._busy_until,
+            adc._event, adc._result, adc._lfsr, adc.samples_taken)
+
+
+def test_stable_registers_read_the_same_until_the_next_event():
+    """With a TX in flight, an RX byte queued and an ADC conversion in
+    flight, UCSR0A and ADCSRA read the same byte and change no state at
+    every cycle before the next due event — and the first due event
+    does change ADCSRA, so the check can fail."""
+    flash = Flash()
+    cpu = AvrCpu(flash)
+    radio, adc = Radio(), Adc()
+    cpu.attach_device(radio)
+    cpu.attach_device(adc)
+    assert cpu.io_stable == {ioports.UCSR0A, ioports.ADCSRA}
+    cpu.data_write(ioports.UDR0, 0x41)
+    radio.deliver(b"\x42")
+    cpu.data_write(ioports.ADCSRA, 1 << ioports.ADSC)
+    due = cpu.events.next_due
+    assert cpu.cycles < due < float("inf")
+    first = {port: cpu.data_read(port) for port in sorted(cpu.io_stable)}
+    state = _device_state(radio, adc)
+    for cycle in range(cpu.cycles, due):
+        cpu.cycles = cycle
+        for port, value in first.items():
+            assert cpu.data_read(port) == value, (port, cycle)
+        assert _device_state(radio, adc) == state, cycle
+        assert cpu.events.next_due == due
+    cpu.cycles = due
+    assert cpu.data_read(ioports.ADCSRA) != first[ioports.ADCSRA]
+
+
+def test_booted_node_declares_only_device_status_registers_stable():
+    """TCNT0 ticks without an event, a UDR0 read pops the RX queue, and
+    the kernel's SP and virtual Timer3 entries are its own: none is
+    stable on a booted node."""
+    from repro.kernel import SensorNode
+    node = SensorNode.from_sources([("idle", "main:\n    break\n")],
+                                   block_cache=False)
+    stable = node.cpu.io_stable
+    assert stable == {ioports.UCSR0A, ioports.ADCSRA}
+    kernel = node.kernel
+    claimed = {address for address in range(ioports.RAM_START)
+               if getattr(node.cpu.io_read[address], "__self__", None)
+               is kernel}
+    assert claimed == {ioports.SPL, ioports.SPH} \
+        | set(ioports.TIMER3_ADDRESSES)
+    assert not stable & claimed

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from hypothesis import example, given, settings, strategies as st
 
-from repro.avr import AvrCpu, Flash, assemble
+from repro.avr import AvrCpu, Flash, assemble, ioports
+from repro.avr.devices.radio import RXC
 from repro.baselines.native import run_native
 from repro.cc import compile_c_to_asm
 from repro.kernel import KernelConfig, SensorNode
@@ -308,6 +309,157 @@ def test_loop_family_matches_stepwise_at_every_stop(program, stride):
 
     _sweep(bare, _bare_state, stride)
     _sweep(kernel, _node_state, stride)
+
+
+# -- poll-loop family: idle-loop fast-forward against the stepwise oracle --------
+
+#: Polled device -> (port, bit, spin while the bit is set); None is
+#: drawn per program.  Every port but TCNT0 is stable, so only its loop
+#: must never be fast-forwarded.
+_POLLS = {
+    "rx": (ioports.UCSR0A, RXC, False),             # host delivers a byte
+    "tx": (ioports.UCSR0A, ioports.UDRE, False),    # transmitter idles
+    "adc": (ioports.ADCSRA, ioports.ADSC, True),    # conversion ends
+    "tcnt0": (ioports.TCNT0, None, None),           # ticks every 32 cycles
+}
+
+_START_ADC = [f"ldi r18, {1 << ioports.ADSC}", f"sts {ioports.ADCSRA}, r18"]
+_SPIN_ADSC = [f"andi r17, {1 << ioports.ADSC}", "brne poll"]
+
+#: Loop members: idempotent ones, with which one iteration repeats the
+#: one before it, and a counter, with which none does.
+_POLL_MEMBERS = ["mov r18, r17", "andi r18, {k}", "ldi r19, {k}",
+                 "inc r21"]
+
+
+@st.composite
+def _poll_members(draw):
+    return [draw(st.sampled_from(_POLL_MEMBERS))
+            .format(k=draw(st.integers(0, 255)))
+            for _ in range(draw(st.integers(0, 2)))]
+
+
+def _poll_source(port: int, spin, start=(), before=(),
+                 rounds: int = 1) -> str:
+    """A task that *rounds* times runs *start*, then polls: *before*,
+    ``lds r17, port``, then *spin*, the rest of the round, which closes
+    the loop back to ``poll``."""
+    lines = [f"ldi r20, {rounds}", "round:", *start, "poll:", *before,
+             f"lds r17, {port}", *spin, "dec r20", "brne round", "break"]
+    return ".bss cells, 16\nmain:\n" + "".join(
+        line + "\n" if line.endswith(":") else f"    {line}\n"
+        for line in lines)
+
+
+@st.composite
+def poll_program(draw):
+    """A task that, one to three times, starts a device operation (a TX
+    byte, an ADC conversion; RX bytes come from the host) and spins on
+    its status bit until it is done: ``lds`` of the status register,
+    optional members before and after it, an optional store (which
+    rules out fast-forward), and a ``sbrs``/``sbrc`` + ``rjmp`` or
+    ``andi`` + ``breq``/``brne`` backedge."""
+    device = draw(st.sampled_from(sorted(_POLLS)))
+    port, bit, spin_while_set = _POLLS[device]
+    if bit is None:
+        bit, spin_while_set = draw(st.integers(0, 5)), draw(st.booleans())
+    start = {"tx": [f"sts {ioports.UDR0}, r16", "inc r16"],
+             "adc": _START_ADC}.get(device, [])
+    before = draw(_poll_members())
+    spin = draw(_poll_members())
+    if draw(st.integers(0, 3)) == 0:
+        spin.append(f"sts cells + {draw(_cells)}, r17")
+    if draw(st.booleans()):
+        skip = "sbrc" if spin_while_set else "sbrs"
+        spin += [f"{skip} r17, {bit}", "rjmp poll"]
+    else:
+        branch = "brne" if spin_while_set else "breq"
+        spin += [f"andi r17, {1 << bit}", f"{branch} poll"]
+    if device == "rx":
+        spin.append(f"lds r22, {ioports.UDR0}")
+    return _poll_source(port, spin, start, before,
+                        draw(st.integers(1, 3)))
+
+
+def _poll_state(node):
+    radio = node.radio
+    return _node_state(node) + (radio.tx_seq, tuple(radio.rx_queue),
+                                tuple(radio.tx_cycles),
+                                node.adc.samples_taken)
+
+
+def _poll_sweep(make, limit: str, stops) -> None:
+    """Stop a traced and a stepwise node at every stop of *limit*; the
+    host delivers one radio byte to both after every eighth stop."""
+    traced, stepwise = make(True), make(False)
+    for index, stop in enumerate(stops(traced)):
+        traced.run(**{limit: stop})
+        stepwise.run(**{limit: stop})
+        assert _poll_state(traced) == _poll_state(stepwise), (limit, stop)
+        if stepwise.finished:
+            return
+        if index % 8 == 7:
+            traced.radio.deliver(b"\x5a")
+            stepwise.radio.deliver(b"\x5a")
+    raise AssertionError("generated program did not terminate")
+
+
+def _instruction_stops(node):
+    yield from range(1, 48)
+    yield from range(48, 400_000, 29)
+
+
+def _cycle_stops(node):
+    yield from range(node.cpu.cycles + 89, 40_000_000, 89)
+
+
+# Shrunk failures of the family with the skip deliberately broken, kept
+# so each break is caught on every run: an ADC poll (skip past the due
+# completion, or past the instruction or cycle limit), the same with a
+# counter member (skip without comparing the registers), a TCNT0 poll
+# (TCNT0 declared stable), and two TX polls (skip past the branch
+# counter's kernel entry).
+_ADC_POLL = _poll_source(ioports.ADCSRA, _SPIN_ADSC, _START_ADC)
+_ADC_POLL_COUNTING = _poll_source(ioports.ADCSRA, ["inc r21", *_SPIN_ADSC],
+                                  _START_ADC)
+_TCNT0_POLL = _poll_source(ioports.TCNT0, ["andi r17, 16", "brne poll"])
+_TX_POLLS = _poll_source(ioports.UCSR0A,
+                         [f"andi r17, {1 << ioports.UDRE}", "breq poll"],
+                         [f"sts {ioports.UDR0}, r16", "inc r16"], rounds=2)
+
+
+@given(poll_program(), st.none() | poll_program(), st.integers(1, 20_000))
+@settings(max_examples=_LOOP_EXAMPLES, deadline=None)
+@example(first=_ADC_POLL, second=None, hold=1)
+@example(first=_ADC_POLL_COUNTING, second=None, hold=1)
+@example(first=_TCNT0_POLL, second=None, hold=1)
+@example(first=_TX_POLLS, second=None, hold=1)
+def test_poll_family_matches_stepwise_at_every_stop(first, second, hold):
+    """Idle poll loops fast-forward in closed form; a traced node must
+    still stop on exactly the stepwise state at every instruction stop,
+    every cycle stop (the fleet's horizon stops) and an ``until()``
+    stop, with two tasks preempting at slice expiry, while the host
+    delivers radio bytes between run slices."""
+    sources = [("a", first)] + ([("b", second)] if second else [])
+
+    def make(fuse):
+        return SensorNode.from_sources(
+            sources, config=KernelConfig(time_slice_cycles=3_000),
+            fuse=fuse, block_cache=False)
+
+    _poll_sweep(make, "max_instructions", _instruction_stops)
+    _poll_sweep(make, "max_cycles", _cycle_stops)
+    # until() pins the traces' horizon: they exit at their first seam,
+    # so the traced stop is a dispatch boundary at or after stepwise's.
+    traced, stepwise = make(True), make(False)
+    hold += traced.cpu.cycles
+    for node in (traced, stepwise):
+        node.radio.deliver(b"\x5a\x5a")
+        node.run(max_instructions=400_000,
+                 until=lambda cpu: cpu.cycles >= hold)
+    if stepwise.cpu.instret < traced.cpu.instret:
+        stepwise.run(max_instructions=traced.cpu.instret)
+    assert _poll_state(traced) == _poll_state(stepwise)
 
 
 # -- random TinyC expressions -----------------------------------------------------

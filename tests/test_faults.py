@@ -269,6 +269,32 @@ def test_reboot_persists_network_time():
     assert not node.finished
 
 
+def test_reboot_frees_the_dead_cpus_decode_caches(monkeypatch):
+    """A reboot empties the old CPU's flash-sized decode lists before
+    dropping it: a dead CPU sits in reference cycles, so without that
+    each reboot kept about 1 MB until a full collection ran.  The spy
+    keeps every CPU alive, so no collection can hide a leak."""
+    from repro.avr.cpu import AvrCpu
+    built = []
+    init = AvrCpu.__init__
+
+    def spy(cpu, *args, **kwargs):
+        init(cpu, *args, **kwargs)
+        built.append(cpu)
+
+    monkeypatch.setattr(AvrCpu, "__init__", spy)
+    node = SensorNode.from_sources([("spin", _LONG_SPIN)])
+    for _ in range(3):
+        node.run(max_cycles=node.cpu.cycles + 20_000)
+        assert node.cpu._decoded
+        node.crash()
+        node.reboot()
+    node.run(max_cycles=node.cpu.cycles + 20_000)
+    assert len(built) == 4
+    assert [cpu for cpu in built if cpu._exec or cpu._blocks] == \
+        [node.cpu]
+
+
 # -- specialized code vs injected flips ----------------------------------------
 
 #: Self-looping inner spin plus stack traffic in the outer loop: the

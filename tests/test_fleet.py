@@ -104,6 +104,37 @@ def test_shard_count_invariance_clean():
         assert sum(r.compiled_per_shard) <= 2, r.compiled_per_shard
 
 
+def _stepwise_from_sources(monkeypatch):
+    """Make every node a fleet boots run stepwise."""
+    build = SensorNode.from_sources.__func__
+
+    def stepwise(cls, sources, *args, **kwargs):
+        kwargs["fuse"] = False
+        return build(cls, sources, *args, **kwargs)
+
+    monkeypatch.setattr(SensorNode, "from_sources", classmethod(stepwise))
+
+
+@pytest.mark.parametrize("workload", ["flood", "attack"])
+def test_fleet_digest_is_tier_invariant(workload, monkeypatch):
+    """The 4x4 flood and 3x3 attack fleets end on the same digest with
+    every node forced stepwise: traces, including their fast-forward of
+    idle radio polls, change no node's end state."""
+    if workload == "flood":
+        spec = _quick_spec()
+    else:
+        spec = build_spec(grid(3, 3, latency_cycles=2_000, seed=0xF1EE7),
+                          "attack", count=40, seed=0xF1EE7,
+                          max_cycles=3_000_000)
+    traced = FleetSim(spec, shards=1).run()
+    _stepwise_from_sources(monkeypatch)
+    # Priming warms trace caches: there are none to warm.
+    stepwise = FleetSim(spec, shards=1, prime=False).run()
+    assert stepwise.compiled_per_shard == [0]
+    assert traced.digest == stepwise.digest
+    assert traced.finished_nodes == stepwise.finished_nodes
+
+
 def test_finished_nodes_free_their_decode_caches(monkeypatch):
     """Priming's scratch nodes and every shard node empty their
     flash-sized decode lists once done, instead of holding about 1 MB

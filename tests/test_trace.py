@@ -420,6 +420,50 @@ def test_skip_head_deopt_replays_both_arms():
     assert history == run(fuse=False)[1]
 
 
+# The fifth ``st X+`` leaves the 4-byte heap: the task is killed at that
+# site, the trap-site pc the node halts on.
+_STORE_PAST_HEAP = """
+.bss buf, 4
+main:
+    ldi r26, lo8(buf)
+    ldi r27, hi8(buf)
+    ldi r16, 0x55
+    ldi r20, 250
+loop:
+    inc r17
+    st X+, r16
+    dec r20
+    brne loop
+    break
+"""
+
+
+def test_slow_trap_that_ends_the_last_task_halts_on_its_site():
+    """A trace's slow arm, and its deopt arm, hand a trap to the generic
+    dispatch with the pc on the trap site, as stepwise execution does:
+    when the trap kills the last task, the node halts there."""
+    stepwise = _boot([("store", _STORE_PAST_HEAP)], fuse=False)
+    stepwise.run(max_instructions=100_000)
+    site = stepwise.cpu.pc
+    assert stepwise.finished
+    assert stepwise.task_named("store").exit_reason.startswith("fault")
+
+    slow = _boot([("store", _STORE_PAST_HEAP)])
+    slow.run(max_instructions=100_000)
+    assert _digest(slow) == _digest(stepwise)
+
+    # Stop on the loop head before the fatal iteration and move the
+    # region epoch: the trace's guard fails and its deopt arm runs the
+    # head block (inc, then the fatal store) through the generic path.
+    deopt = _boot([("store", _STORE_PAST_HEAP)])
+    deopt.run(max_instructions=4 + 4 * 4)
+    assert deopt.cpu.pc == site - 1
+    deopt.kernel._on_region_change(0)
+    deopt.run(max_instructions=100_000)
+    assert deopt.kernel.specializer.stats.deopts == 1
+    assert _digest(deopt) == _digest(stepwise)
+
+
 # -- re-entry through the shared cache ------------------------------------------
 
 _PUSH_POP = """
