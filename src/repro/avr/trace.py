@@ -12,8 +12,11 @@ state:
   exact-stop check (``da``/``mi``/``mc``), so limits, due events and
   ``until()`` observe bit-identical boundaries;
 * specialized trap sites (site facts from :class:`~repro.kernel
-  .specialize.TrapSpecializer`) chain through their fast arms; every
-  slow arm flushes the locals and exits through the generic dispatch;
+  .specialize.TrapSpecializer`) chain through their fast arms; a slow
+  arm exits, with the pc on its trap site, to the generic dispatch;
+* every exit sets ``xk`` and breaks out of the trace loop to one
+  epilogue, which writes the locals back once and picks the exit's
+  resume pc, branch-counter step and slow call by ``xk``;
 * one task/epoch guard is hoisted to trace entry (all chained sites
   belong to one task, and nothing mid-trace can retire the task or move
   a region), deoptimizing to a generic execution of the head block;
@@ -36,21 +39,23 @@ A trace may be a single block.  Its head may also end where no later
 block could: a *thunk* head ends in a terminator the chain cannot take
 (``RET``/``RETI``, indirect jumps and calls, ``IN``/``OUT``, ``CPSE``/
 ``SBIC``/``SBIS``, ``SLEEP``, ``BREAK``, ``SEI``, a trap without trace
-facts) and runs it through its decoded thunk after flushing the
-members' state; a *cut* head stops at the member cap, before a
-trap-region word or before an undecodable word, and flushes to the
-next unexecuted word.  A block after the head that ends either way is
-not chained: the trace exits before it.
+facts) and runs it through its decoded thunk after writing the
+members' state back; a *cut* head stops at the member cap, before a
+trap-region word or before an undecodable word, and exits to the next
+unexecuted word.  A block after the head that ends either way is not
+chained: the trace exits before it.
 
 Mid-trace safety rests on one invariant: members never touch I/O, SP
 (outside specialized trap code), or the I flag.  The one device access
-a trace makes is an I/O-class direct (``LDS``/``STS``) trap site, which
-publishes ``cy``/``n`` before the access (device hooks read the clock)
-and re-reads the event horizon after it (hooks schedule and cancel
-events), forcing an exit at the next seam once an interrupt is pending;
-so every seam still sees the exact next due event.  Direct accesses to
-SP or SREG (which the trace shadows in ``sr``) end a trace like any
-other unchainable terminator.
+a trace makes is an I/O-class direct (``LDS``/``STS``) trap site.  When
+its block has members, it first exits at the site if an event fell due
+during them, so the event fires before the access as it does stepwise;
+it publishes ``cy``/``n`` before the access (device hooks read the
+clock) and re-reads the event horizon after it (hooks schedule and
+cancel events), forcing an exit at the next seam once an interrupt is
+pending.  So every device access and every seam sees the exact next
+due event.  Direct accesses to SP or SREG (which the trace shadows in
+``sr``) end a trace like any other unchainable terminator.
 
 Compiled traces are shared across CPUs through the in-process
 :class:`~repro.avr.cpu.SuperblockCache` (key-prefixed ``"trace"``) and,
@@ -89,7 +94,7 @@ _MAX_STRIP = 16_777_216
 
 #: On-disk artifact format version; any change to the generated source
 #: conventions or the artifact schema must bump this.
-STORE_VERSION = 5
+STORE_VERSION = 6
 
 #: I/O addresses a direct access to which ends the trace: SREG lives in
 #: the ``sr`` local, and an SP write may raise ``TaskFault``, which only
@@ -106,6 +111,7 @@ class TraceStats:
     cache_hits: int = 0    # rebinds served by the in-process cache
     store_hits: int = 0    # recompiles served by the persistent store
     store_misses: int = 0  # store lookups that found no usable artifact
+    lines: int = 0         # generated source lines of the compiled traces
 
 
 def _base_ns(cpu) -> dict:
@@ -150,6 +156,29 @@ def _build_tables(manifest) -> dict:
 def _ind(lines, depth: int = 1) -> List[str]:
     pad = "    " * depth
     return [pad + line for line in lines]
+
+
+def _pick(values) -> str:
+    """One epilogue constant over a trace's exits: the value itself when
+    every exit it applies to (the non-None entries) agrees, else a
+    per-exit tuple indexed by ``xk`` (no exit past its last non-None
+    entry reads it)."""
+    used = {value for value in values if value is not None}
+    if len(used) == 1:
+        return repr(used.pop())
+    while values[-1] is None:
+        values = values[:-1]
+    return f"({', '.join(map(repr, values))})[xk]"
+
+
+def _among(indices, total: int) -> Optional[str]:
+    """Test for ``xk`` being one of *indices*; None when they are all
+    *total* exits, so no test is needed."""
+    if len(indices) == total:
+        return None
+    if len(indices) == 1:
+        return f"xk == {indices[0]}"
+    return f"xk in {tuple(indices)}"
 
 
 class _Member:
@@ -478,6 +507,7 @@ class TraceCompiler:
         # one a later rebind or store load composes for these sites.
         key, task, kinds = self._resolve_sites(sites)
         code = compile(source, f"<trace@{pc:#06x}>", "exec")
+        self.stats.lines += source.count("\n") + 1
         self._bind(ns, task, kinds)
         exec(code, ns)
         head = nodes[0]
@@ -715,6 +745,8 @@ class _Emitter:
         self.uses_sr = self._uses_sr(nodes)
         self.idle = self._idle_loop(nodes)
         self.skips = False  # a backedge emitted the idle-loop skip
+        #: (pc, check, slow) -> xk, one entry per distinct exit.
+        self.exits: Dict[Tuple, int] = {}
 
     # -- idle-loop fast-forward ---------------------------------------------------
 
@@ -937,16 +969,29 @@ class _Emitter:
         last = node.members[-1]
         return (last.flags, last.writes)
 
-    def _flush(self, pc: Optional[int], tb: str, mats=(),
-               slow: Optional[str] = None) -> List[str]:
-        """Exit sequence: materialize deferred flags, write the shadowed
-        state back, settle the trap counters, set the resume pc, then
-        (order matters) run the branch-counter/scheduler logic and any
-        slow-path dispatch — both may preempt and must observe exactly
-        the state a stand-alone specialized block would have left."""
-        lines = list(mats)
-        if self.uses_sr:
-            lines.append("cpu.sreg = sr")
+    def _exit(self, pc: int, check: bool = False, mats=(),
+              slow=None) -> List[str]:
+        """An exit: materialize this exit's deferred flags, then leave
+        the trace loop for the shared epilogue (:meth:`_epilogue`) with
+        ``xk`` naming what this exit resumes with: the pc, whether the
+        branch counter may be spent (*check*: at ``tb <= 0`` it resets
+        and enters the scheduler) and the *slow* dispatch to run after
+        the write-back — a trap site's ``(site, target, is_call)`` for
+        ``k_slow``, or a thunk head's call.  Exits that resume alike
+        share one index."""
+        key = (pc, check, slow)
+        index = self.exits.setdefault(key, len(self.exits))
+        return list(mats) + [f"xk = {index}", "break"]
+
+    def _epilogue(self) -> List[str]:
+        """The one write-back every exit breaks to: the shadowed state,
+        the trap counters, the exit's resume pc, then (order matters)
+        the branch-counter/scheduler step and any slow dispatch — both
+        may preempt and must observe exactly the state a stand-alone
+        specialized block would have left.  What differs between exits
+        is picked by ``xk`` from per-trace constant tuples."""
+        exits = list(self.exits)
+        lines = ["cpu.sreg = sr"] if self.uses_sr else []
         lines += ["cpu.cycles = cy", "cpu.instret = n"]
         for i in range(len(self.kind_order)):
             lines.append(f"if c{i}: k_counts[kk{i}] = "
@@ -954,33 +999,39 @@ class _Emitter:
         if self.has_trap:
             lines += ["k_stats.kernel_cycles += kc",
                       "k_task.kernel_cycles += kc"]
-        if pc is not None:
-            lines.append(f"cpu.pc = {pc}")
+        lines.append(f"cpu.pc = {_pick([pc for pc, _, _ in exits])}")
         if self.has_branch_trap:
-            if tb == "plain":
-                lines.append("k_task.branch_counter = tb")
-            elif tb == "reset":
-                lines += [f"k_task.branch_counter = {self.period}",
-                          "k_sched()"]
-            else:  # "check"
-                lines += ["if tb <= 0:",
+            checks = [k for k, (_, check, _) in enumerate(exits) if check]
+            if checks:
+                among = _among(checks, len(exits))
+                lines += [f"if tb <= 0{' and ' + among if among else ''}:",
                           f"    k_task.branch_counter = {self.period}",
                           "    k_sched()",
                           "else:",
                           "    k_task.branch_counter = tb"]
-        if slow is not None:
-            lines += [slow, "cpu.instret += 1"]
-        lines.append("return")
+            else:
+                lines.append("k_task.branch_counter = tb")
+        calls = [slow for _, _, slow in exits]
+        slows = [k for k, call in enumerate(calls) if call is not None]
+        if slows:
+            call = calls[slows[0]]
+            if not isinstance(call, str):  # k_slow arguments, per exit
+                call = self._slow_call(*(
+                    _pick([None if c is None else c[i] for c in calls])
+                    for i in range(3)))
+            among = _among(slows, len(exits))
+            tail = [call, "cpu.instret += 1"]
+            lines += ([f"if {among}:"] + _ind(tail)) if among else tail
         return lines
 
     def _seam(self, target: _Node, pending) -> List[str]:
         """Dispatch-boundary check before re-entering *target* inside
         the trace: replicates ``_run_fused``'s event/limit gate, exiting
-        (with all state flushed) when the next block may not start."""
+        when the next block may not start."""
         mats = pending[0] if pending else ()
         lines = [f"if cy >= da or n + {target.count + 1} > mi "
                  f"or cy + {target.cost} >= mc:"]
-        lines += _ind(self._flush(target.start, "plain", mats=mats))
+        lines += _ind(self._exit(target.start, mats=mats))
         if pending and pending[1] & ~self._safe_entry(target):
             lines += pending[0]
         return lines
@@ -1006,7 +1057,7 @@ class _Emitter:
             return self._thunk_body(node), None
         if node.kind == "cut":
             return (self._trap_prologue(node)
-                    + self._flush(node.target, "plain")), None
+                    + self._exit(node.target)), None
         name = node.facts.kind.name
         if name == "BRANCH_BACKWARD":
             if node.strip:
@@ -1049,7 +1100,7 @@ class _Emitter:
         if node.taken == self.head_addr:
             taken += self._backedge(pending, node, (taken_cycles, 0))
         else:
-            taken += self._flush(node.taken, "plain", mats=mats)
+            taken += self._exit(node.taken, mats=mats)
         lines.append(f"if {test}:")
         lines += _ind(taken)
         node.step = (node.cost + 1, 0)
@@ -1074,19 +1125,23 @@ class _Emitter:
         return lines
 
     def _thunk_body(self, node: _Node) -> List[str]:
-        """A thunk head: the members, a flush that puts the pc on the
+        """A thunk head: the members, an exit that puts the pc on the
         terminator (where stepwise execution has it: a trap handler that
         ends the last task leaves it there), then the terminator's
         decoded thunk."""
         address = node.target
         call = f"(cpu._exec[{address}] or cpu._decode_at({address}))()"
-        return self._trap_prologue(node) + self._flush(address, "plain",
-                                                       slow=call)
+        return self._trap_prologue(node) + self._exit(address, slow=call)
 
     @staticmethod
-    def _slow_call(facts) -> str:
-        return f"k_slow(cpu, {facts.site}, {facts.target}, " \
-               f"{facts.is_call})"
+    def _slow_call(site, target, is_call) -> str:
+        return f"k_slow(cpu, {site}, {target}, {is_call})"
+
+    def _slow_exit(self, facts) -> List[str]:
+        """The exit of a trap whose fast arm does not apply: the pc on
+        the trap site, then the generic dispatch."""
+        return self._exit(facts.site,
+                          slow=(facts.site, facts.target, facts.is_call))
 
     def _mem_indirect_body(self, node: _Node) -> List[str]:
         from ..kernel import costs
@@ -1149,7 +1204,7 @@ class _Emitter:
         if facts.elide == "stack":
             # Certificate-validated: ta is always a live stack address.
             return lines + [f"tp = ta + ({stack_disp})"] + arm_stack
-        slow = self._flush(facts.site, "plain", slow=self._slow_call(facts))
+        slow = self._slow_exit(facts)
         lines.append(f"if {rs} <= ta < {heap_high}:")
         lines += _ind(arm_heap)
         lines.append(f"elif {heap_high} <= ta < {mem_size}:")
@@ -1169,6 +1224,13 @@ class _Emitter:
         access, effect, charge = direct_access(facts.params, facts.region,
                                                facts.config)
         lines = self._trap_prologue(node)
+        if access is AccessClass.IO and node.cost:
+            # An event due by the end of the members fires before the
+            # access, as it does stepwise: exit to the dispatch loop at
+            # the site, which runs the event and re-enters at a trace
+            # headed by the access itself.
+            lines.append("if cy >= da:")
+            lines += _ind(self._exit(facts.site))
         lines.append(f"c{node.kind_index} += 1")
         if access is AccessClass.IO:
             # Device hooks read the clock and may schedule or cancel
@@ -1203,8 +1265,7 @@ class _Emitter:
         lines += ["tsp = cpu.sp", f"if tsp >= {floor}:"]
         lines += _ind(fast)
         lines.append("else:")
-        lines += _ind(self._flush(facts.site, "plain",
-                                  slow=self._slow_call(facts)))
+        lines += _ind(self._slow_exit(facts))
         return lines
 
     def _stack_pop_body(self, node: _Node) -> List[str]:
@@ -1226,8 +1287,7 @@ class _Emitter:
         lines.append(f"if tsp < {region.p_u}:")
         lines += _ind(fast)
         lines.append("else:")
-        lines += _ind(self._flush(facts.site, "plain",
-                                  slow=self._slow_call(facts)))
+        lines += _ind(self._slow_exit(facts))
         return lines
 
     def _call_direct_body(self, node: _Node) -> List[str]:
@@ -1251,8 +1311,7 @@ class _Emitter:
         lines += ["tsp = cpu.sp", f"if tsp - 1 >= {floor}:"]
         lines += _ind(fast)
         lines.append("else:")
-        lines += _ind(self._flush(facts.site, "plain",
-                                  slow=self._slow_call(facts)))
+        lines += _ind(self._slow_exit(facts))
         return lines
 
     def _branch_trap_body(self, node: _Node):
@@ -1270,28 +1329,28 @@ class _Emitter:
             lines += taken
             if node.nat_target == self.head_addr:
                 lines.append("if tb <= 0:")
-                lines += _ind(self._flush(node.nat_target, "reset"))
+                lines += _ind(self._exit(node.nat_target, check=True))
                 lines += self._backedge(None, node, taken_step)
             else:
-                lines += self._flush(node.nat_target, "check")
+                lines += self._exit(node.nat_target, check=True)
             return lines, None
         pending = self._pending(node)
         test = self._taken_test(node)
         mats = pending[0] if pending else ()
         if node.nat_target == self.head_addr:
             taken.append("if tb <= 0:")
-            taken += _ind(self._flush(node.nat_target, "reset",
-                                      mats=mats))
+            taken += _ind(self._exit(node.nat_target, check=True,
+                                     mats=mats))
             taken += self._backedge(pending, node, taken_step)
         else:
-            taken += self._flush(node.nat_target, "check", mats=mats)
+            taken += self._exit(node.nat_target, check=True, mats=mats)
         lines.append(f"if {test}:")
         lines += _ind(taken)
         node.step = (node.cost + 1 + inline, 1 + inline)
         lines += [f"cy += {node.step[0]}",
                   f"kc += {node.step[1]}",
                   "if tb <= 0:"]
-        lines += _ind(self._flush(resume, "reset", mats=mats))
+        lines += _ind(self._exit(resume, check=True, mats=mats))
         return lines, pending
 
     def _strip_body(self, node: _Node) -> List[str]:
@@ -1327,7 +1386,7 @@ class _Emitter:
                    f"{counter} += im"]
         exit_check = (f"if tb <= 0 or cy >= da or n + {iter_count} > mi "
                       f"or cy + {node.cost} >= mc:")
-        exit_flush = _ind(self._flush(node.start, "check", mats=mats))
+        exit_lines = _ind(self._exit(node.start, check=True, mats=mats))
         lines = ["while True:"]
         inner = [bounds, "im = 1 if im < 1 else int(im)"]
         if node.bit is None:
@@ -1336,9 +1395,10 @@ class _Emitter:
                 inner += _ind(inloop)
             inner += account
             inner.append(exit_check)
-            inner += exit_flush
+            inner += exit_lines
             lines += _ind(inner)
-            return lines  # only exits via the flush: trace ends here
+            # The strip loop ends only through its exit: pass it on.
+            return lines + ["break"]
         if node.strip_elide:
             pred = node.members[-1].preds[1 << node.bit]
             fall_test = f"not ({pred})" if node.branch_if_set else pred
@@ -1349,7 +1409,7 @@ class _Emitter:
         inner.append("for j in range(1, im + 1):")
         inner += _ind(inloop + [f"if {fall_test}:", "    break"])
         inner.append("else:")
-        inner += _ind(account + [exit_check] + exit_flush
+        inner += _ind(account + [exit_check] + exit_lines
                       + ["continue"])
         inner += [f"cy += j * {taken_cycles} - 1",
                   f"n += j * {iter_count}",
@@ -1358,9 +1418,11 @@ class _Emitter:
                   f"{counter} += j",
                   "break"]
         lines += _ind(inner)
+        # An exit breaks out of the strip loop only: pass it on.
+        lines.append("if xk >= 0: break")
         lines += mats
         lines.append("if tb <= 0:")
-        lines += _ind(self._flush(resume, "reset"))
+        lines += _ind(self._exit(resume, check=True))
         return lines
 
     # -- guard / deopt ------------------------------------------------------------
@@ -1391,7 +1453,9 @@ class _Emitter:
             if head.count:
                 lines.append(f"cpu.instret += {head.count}")
             lines += [f"cpu.pc = {head.facts.site}",
-                      self._slow_call(head.facts), "cpu.instret += 1"]
+                      self._slow_call(head.facts.site, head.facts.target,
+                                      head.facts.is_call),
+                      "cpu.instret += 1"]
         elif head.kind in ("brcond", "skip"):
             test = self._taken_test(head, "sr" if touches else "cpu.sreg")
             lines += [f"if {test}:",
@@ -1431,6 +1495,8 @@ class _Emitter:
             body.append("kc = 0")
         for i in range(len(self.kind_order)):
             body.append(f"c{i} = 0")
+        if any(node.strip and node.bit is not None for node in self.nodes):
+            body.append("xk = -1")  # no exit yet: see _strip_body
         body.append("while True:")
         inner: List[str] = []
         pending = None
@@ -1444,9 +1510,14 @@ class _Emitter:
             inner += self._backedge(pending, last, last.step)
         elif self.tail[0] == "exit":
             mats = pending[0] if pending else ()
-            inner += self._flush(self.tail[1], "plain", mats=mats)
+            inner += self._exit(self.tail[1], mats=mats)
         # ("end",): the last node resolved every arm internally.
         if self.skips:
             inner = self._snapshot() + inner
+        if len(self.exits) == 1:
+            # One exit (every thunk and cut head): the epilogue names
+            # its constants directly, so nothing reads xk.
+            inner = [line for line in inner if line.strip() != "xk = 0"]
         body += _ind(inner)
+        body += self._epilogue()
         return "def _blk():\n" + "\n".join(_ind(body))

@@ -195,7 +195,7 @@ def _print_jit_stats(node) -> None:
     tracer = kernel.tracer
     if tracer is not None:
         t = tracer.stats
-        print(f"  tracer: {t.compiled} compiled,"
+        print(f"  tracer: {t.compiled} compiled ({t.lines} lines),"
               f" {t.cache_hits} cache hits, {t.store_hits} store hits,"
               f" {t.store_misses} store misses")
     counts = kernel.stats.trap_counts

@@ -208,6 +208,7 @@ def jit_stats_dict(node) -> dict:
     if tracer is not None:
         t = tracer.stats
         out["tracer"] = {"compiled": t.compiled,
+                         "lines": t.lines,
                          "cache_hits": t.cache_hits,
                          "store_hits": t.store_hits,
                          "store_misses": t.store_misses}

@@ -126,7 +126,9 @@ def test_run_json_stats_report(blink_file, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["schema"] == "sensmart-run/1"
     assert "block_cache" in report["jit"]
-    assert "tracer" in report["jit"]
+    tracer = report["jit"]["tracer"]
+    # Generated lines count only traces compiled from scratch.
+    assert (tracer["lines"] > 0) == (tracer["compiled"] > 0)
 
 
 def test_run_stats_reports_containment(tmp_path, capsys):
@@ -143,6 +145,7 @@ main:
     out = capsys.readouterr().out
     assert "terminations: FAULT=1" in out
     assert "fault kinds: oob=1" in out
+    assert " lines), " in out
 
 
 def test_run_json_stats_containment(blink_file, capsys):

@@ -16,10 +16,16 @@ family, reaches every trace shape (nested counted loops across the
 branch counter, one-block self-loops, ``rcall``/``ret`` and ``break``
 heads, stack and memory traffic, runs cut at the member cap) and checks
 the two modes against each other at every stop of an instruction-limit
-sweep, bare-metal and under the kernel.
+sweep, bare-metal and under the kernel.  The region-edge family does the
+same for pointer accesses on both sides of every heap and stack edge and
+for stacks that outgrow their region, so every trap guard and slow arm
+runs, traced with guard elision off and on.
 """
 
 from __future__ import annotations
+
+import contextlib
+import signal
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -460,6 +466,151 @@ def test_poll_family_matches_stepwise_at_every_stop(first, second, hold):
     if stepwise.cpu.instret < traced.cpu.instret:
         stepwise.run(max_instructions=traced.cpu.instret)
     assert _poll_state(traced) == _poll_state(stepwise)
+
+
+# -- region-edge family: trap guards and slow arms against the oracle ----------
+
+#: Stack bytes every task of the family starts with; its heap takes the
+#: rest of the application area, so a few dozen call frames outgrow the
+#: stack and a slow arm relocates it.
+_EDGE_STACK = 96
+
+_EDGE_FORMS = ("X", "X+", "-X", "Y+q")
+
+
+@st.composite
+def _edge_op(draw):
+    """One step of a region-edge task: an indirect access at -1, 0 or
+    +1 of a region edge; a push loop or an ``rcall`` recursion *depth*
+    deep (a frame is a pushed byte plus a return address); or a ``pop``
+    of an empty stack."""
+    kind = draw(st.sampled_from(["access"] * 4 + ["push", "call"] * 2
+                                + ["pop"]))
+    if kind == "push":  # the floor is 92 bytes down
+        return ("push", draw(st.integers(60, 140)))
+    if kind == "call":
+        return ("call", draw(st.integers(20, 48)))
+    if kind == "pop":
+        return ("pop",)
+    form = draw(st.sampled_from(_EDGE_FORMS))
+    return ("access",
+            draw(st.sampled_from(["heap_lo", "heap_hi", "stack_lo",
+                                  "stack_hi"])),
+            draw(st.integers(-1, 1)), form, draw(st.booleans()),
+            draw(_regs), draw(st.integers(0, 63)) if form == "Y+q" else 0)
+
+
+def _edge_heap(tasks: int) -> int:
+    return len(KernelConfig().app_area) // tasks - _EDGE_STACK
+
+
+@contextlib.contextmanager
+def _watchdog(seconds: int):
+    """Fail instead of hanging when a run stops making progress (a slow
+    arm that exits without running its trap re-enters the same trace
+    forever; an example takes well under a second)."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no stop reached within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _edge_source(ops, heap: int) -> str:
+    """Render *ops* for a task with a *heap*-byte heap and an
+    ``_EDGE_STACK``-byte stack.  The edges are logical addresses: the
+    first heap byte, one past the heap, the lowest stack byte and one
+    past the top of the stack."""
+    config = KernelConfig()
+    top = config.memory_size
+    edges = {"heap_lo": config.ram_start,
+             "heap_hi": config.ram_start + heap,
+             "stack_lo": top - _EDGE_STACK, "stack_hi": top}
+    lines = [f"ldi r{reg}, {0x11 * (reg - 15)}" for reg in range(16, 24)]
+    helpers = []
+    for index, op in enumerate(ops):
+        if op[0] == "push":
+            lines += [f"ldi r24, {op[1]}", f"fill{index}:", "push r16",
+                      "dec r24", f"brne fill{index}", f"ldi r24, {op[1]}",
+                      f"drain{index}:", "pop r17", "dec r24",
+                      f"brne drain{index}"]
+        elif op[0] == "call":
+            lines += [f"ldi r24, {op[1]}", f"rcall dive{index}"]
+            helpers += [f"dive{index}:", "push r16", "dec r24",
+                        f"breq up{index}", f"rcall dive{index}",
+                        f"up{index}:", "pop r17", "ret"]
+        elif op[0] == "pop":
+            lines.append("pop r17")
+        else:
+            _, edge, offset, form, store, reg, q = op
+            address = edges[edge] + offset
+            if form == "Y+q":
+                base, pointer = address - q, 28
+                access = f"std Y+{q}, r{reg}" if store \
+                    else f"ldd r{reg}, Y+{q}"
+            else:
+                # -X decrements first: start one above the edge.
+                base = address + 1 if form == "-X" else address
+                pointer = 26
+                access = f"st {form}, r{reg}" if store \
+                    else f"ld r{reg}, {form}"
+            lines += [f"ldi r{pointer}, {base & 0xFF}",
+                      f"ldi r{pointer + 1}, {base >> 8}", access]
+    lines += ["break"] + helpers
+    return f".bss cells, {heap}\nmain:\n" + "".join(
+        line + "\n" if line.endswith(":") else f"    {line}\n"
+        for line in lines)
+
+
+# Shrunk failures of the family with the trace exit epilogue deliberately
+# broken, kept so each break is caught on every run: a push loop past
+# the stack floor (a pc picked for the neighbouring exit; the push slow
+# arm's dispatch dropped, which re-enters the push site forever), and
+# two push loops beside an underflowing task (a spent branch counter
+# stored instead of entering the scheduler).
+@given(st.lists(_edge_op(), min_size=1, max_size=5),
+       st.none() | st.lists(_edge_op(), min_size=1, max_size=5),
+       st.sampled_from([7, 13, 31]))
+@settings(max_examples=_LOOP_EXAMPLES, deadline=None)
+@example(first=[("push", 60)], second=None, stride=7)
+@example(first=[("push", 93)], second=None, stride=7)
+@example(first=[("pop",)], second=[("push", 60), ("push", 68)], stride=7)
+def test_region_edge_family_matches_stepwise_at_every_stop(first, second,
+                                                           stride):
+    """Pointer accesses on both sides of every heap and stack edge
+    (fast arms, guards, slow arms that fault the task), stacks that
+    outgrow their region (push and call slow arms that relocate it, or
+    kill the task when no donor is left) and an underflowing ``pop``,
+    in one or two tasks: traced with guard elision off and on, the node
+    stops on the stepwise state at every stop of an instruction sweep."""
+    programs = [first] + ([second] if second else [])
+    heap = _edge_heap(len(programs))
+    sources = [(f"t{index}", _edge_source(ops, heap))
+               for index, ops in enumerate(programs)]
+
+    def make(fuse, elide=False):
+        return SensorNode.from_sources(
+            sources, config=KernelConfig(time_slice_cycles=3_000),
+            fuse=fuse, elide=elide, block_cache=False)
+
+    stepwise = make(False)
+    assert {region.stack_size for region in stepwise.kernel.regions
+            .regions} == {_EDGE_STACK}
+    traced = [make(True), make(True, elide=True)]
+    with _watchdog(60):
+        for stop in _loop_stops(stride):
+            stepwise.run(max_instructions=stop)
+            for node in traced:
+                node.run(max_instructions=stop)
+                assert _node_state(node) == _node_state(stepwise), stop
+            if stepwise.finished:
+                return
+            assert stop < 200_000, "generated program did not terminate"
 
 
 # -- random TinyC expressions -----------------------------------------------------

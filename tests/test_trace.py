@@ -1,6 +1,6 @@
 """Trace JIT: traces must be an invisible speed knob.
 
-Six angles:
+Seven angles:
 
 * differential bit-identity — the paper workloads retire identical
   architectural and kernel state traced and stepwise;
@@ -12,6 +12,8 @@ Six angles:
   arbitrary mid-loop stop) stays bit-identical;
 * re-entry — a second node on a shared cache rebinds every trace the
   first compiled, across relocation, unload and dynamic load;
+* the exit protocol — every exit of every trace shape breaks to one
+  epilogue, the only place a trace writes its state back;
 * the persistent store — a warm process compiles nothing and
   reproduces the cold digest byte for byte; corrupt or mismatched
   store files fall back to a clean recompile;
@@ -30,7 +32,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.static import ALL_FLAGS, sreg_effects
-from repro.avr import ioports
+from repro.avr import ioports, trace
 from repro.avr.cpu import SuperblockCache
 from repro.experiments.extra_static import _workload_sources
 from repro.faults import FaultInjector, FaultPlan
@@ -366,23 +368,43 @@ def test_polling_loops_stop_on_until_like_untraced(name):
     assert _digest(traced) == _digest(stepwise)
 
 
+def _receiver_polling_after_members(count: int) -> str:
+    """``receiver_src`` whose poll block runs two members before its
+    ``lds UCSR0A``, so a radio arrival can fall due between them."""
+    poll = f"wait_rx:\n    lds r17, {ioports.UCSR0A}\n"
+    source = receiver_src(count)
+    assert poll in source
+    return source.replace(poll, "wait_rx:\n    ldi r19, 1\n    ldi r18, 2\n"
+                          f"    lds r17, {ioports.UCSR0A}\n")
+
+
 def test_radio_network_traced_matches_stepwise():
-    def run(**overrides):
+    def run(receiver, latency, **overrides):
         net = Network()
         net.add_node("tx", _boot([("sender", sender_src(12))],
                                  **overrides))
-        net.add_node("rx", _boot([("receiver", receiver_src(12))],
-                                 **overrides))
-        net.connect("tx", "rx", latency_cycles=700)
+        net.add_node("rx", _boot([("receiver", receiver)], **overrides))
+        net.connect("tx", "rx", latency_cycles=latency)
         net.run(max_cycles=50_000_000)
         assert all(node.finished for node in net.nodes.values())
         return net
 
-    traced, stepwise = run(), run(fuse=False)
+    traced, stepwise = run(receiver_src(12), 700), \
+        run(receiver_src(12), 700, fuse=False)
     for name in ("tx", "rx"):
         _assert_polling_chained(traced.nodes[name])
         assert _digest(traced.nodes[name]) == \
             _digest(stepwise.nodes[name]), name
+    # An arrival due after the poll block's members but before its
+    # ``lds`` is seen by that ``lds``, traced as stepwise: at these
+    # latencies some arrival lands there.
+    receiver = _receiver_polling_after_members(12)
+    for latency in range(700, 760):
+        traced, stepwise = run(receiver, latency), \
+            run(receiver, latency, fuse=False)
+        for name in ("tx", "rx"):
+            assert _digest(traced.nodes[name]) == \
+                _digest(stepwise.nodes[name]), (name, latency)
 
 
 def test_relay_spin_loops_trace_without_declines():
@@ -462,6 +484,115 @@ def test_slow_trap_that_ends_the_last_task_halts_on_its_site():
     deopt.run(max_instructions=100_000)
     assert deopt.kernel.specializer.stats.deopts == 1
     assert _digest(deopt) == _digest(stepwise)
+
+
+# -- the exit protocol ----------------------------------------------------------
+
+# Every exit kind, with no I/O-class direct access (which publishes
+# ``cy`` before the device sees it): an ``ld`` from I/O space through X
+# (MEM_INDIRECT slow arm), a skip and a forward branch (two-way nodes),
+# an ``adiw``/``brne`` self-loop (conditional strip), a recursion that
+# outgrows its stack (PUSH and CALL slow arms, relocation), a
+# ``ret`` and a ``break`` (thunk heads) and a 12-member run (cut heads
+# under an 8-member cap).
+_EXIT_SHAPES = """
+.bss cells, 16
+main:
+    ldi r20, 3
+again:
+    ldi r26, 0x30
+    ldi r27, 0
+    ld r16, X
+    ldi r26, lo8(cells)
+    ldi r27, hi8(cells)
+    ld r16, X+
+    sbrs r20, 0
+    inc r17
+    cpi r20, 2
+    breq over
+    inc r18
+over:
+    ldi r24, 0
+    ldi r25, 0xF0
+inner:
+    adiw r24, 1
+    brne inner
+    ldi r21, 24
+    rcall dive
+    dec r20
+    brne again
+""" + "    inc r19\n" * 12 + """    break
+dive:
+    push r21
+    dec r21
+    breq up
+    rcall dive
+up:
+    pop r21
+    ret
+"""
+
+# A counted-forever ``rjmp`` self-loop (a strip with no branch
+# condition) whose heap leaves every task a stack of about 56 bytes,
+# and a task whose first ``pop`` underflows (POP slow arm).
+_SPIN_FOREVER = (".bss hog, 3500\nmain:\n    ldi r22, 0\n"
+                 "spin:\n    inc r22\n    rjmp spin\n")
+_POP_EMPTY = "main:\n    inc r16\n    pop r16\n    break\n"
+
+
+def _exit_kinds(emitter):
+    """The kinds of exit one assembled trace has."""
+    nodes = emitter.nodes
+    kinds = {"head " + nodes[0].kind}
+    if len(nodes) > 1:
+        kinds.add("seam")
+    for node in nodes:
+        if node.kind in ("brcond", "skip"):
+            kinds.add("two-way")
+        if node.strip:
+            kinds.add("strip" if node.bit is not None else "counter strip")
+        name = node.facts.kind.name if node.facts is not None else None
+        if name in ("MEM_INDIRECT", "STACK_PUSH", "STACK_POP",
+                    "CALL_DIRECT"):
+            kinds.add(name + " slow")
+    return kinds
+
+
+def test_every_exit_breaks_to_one_write_back(monkeypatch):
+    """Each trace writes its shadowed state back once, in the epilogue
+    every exit breaks to: its only ``return`` is the deopt arm's, which
+    runs before the trace loop.  ``TraceStats.lines`` counts exactly the
+    generated lines compiled."""
+    captured = []
+    source = trace._Emitter.source
+
+    def capture(emitter):
+        text = source(emitter)
+        captured.append((emitter, text))
+        return text
+
+    monkeypatch.setattr(trace._Emitter, "source", capture)
+    node = _boot([("shapes", _EXIT_SHAPES), ("spin", _SPIN_FOREVER),
+                  ("empty", _POP_EMPTY)],
+                 max_block_members=8)
+    node.run(max_instructions=400_000)
+    assert node.task_named("shapes").exit_reason == "exit"
+    assert node.task_named("empty").exit_reason.startswith("fault")
+    assert node.kernel.stats.relocations > 0
+
+    kinds = set().union(*(_exit_kinds(emitter) for emitter, _ in captured))
+    assert kinds >= {"seam", "two-way", "strip", "counter strip",
+                     "MEM_INDIRECT slow", "STACK_PUSH slow",
+                     "STACK_POP slow", "CALL_DIRECT slow", "head thunk",
+                     "head cut"}
+    for _, text in captured:
+        lines = [line.strip() for line in text.splitlines()]
+        assert lines.count("cpu.cycles = cy") == 1, text
+        returns = [i for i, line in enumerate(lines) if line == "return"]
+        assert returns == [] or (len(returns) == 1 and returns[0]
+                                 < lines.index("while True:")), text
+    assert node.kernel.tracer.stats.lines == sum(
+        text.count("\n") + 1 for _, text in captured)
 
 
 # -- re-entry through the shared cache ------------------------------------------
