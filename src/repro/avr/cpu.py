@@ -142,10 +142,14 @@ class SuperblockCache:
         self.groups: dict = {}  # (base_key, pc) -> {spec_key: block}
         self.max_groups = max_groups
         self.hits = 0
-        self.misses = 0
+        self.misses = 0  # lookups a load or a compile followed
         #: (base_key, pc, spec_key) -> times actually compiled; the
         #: exactly-once sharing property asserts max(...) == 1.
         self.compile_counts: dict = {}
+        #: Tier-up heat per image base: (base_key, pc) -> cold
+        #: dispatches of the head (see ``TraceCompiler.hot``).
+        #: FIFO-bounded by *max_groups*, like the groups.
+        self.heat: dict = {}
 
     def store(self, base_key, pc: int, block: _CachedBlock) -> None:
         key = (base_key, pc)
@@ -158,6 +162,12 @@ class SuperblockCache:
         count_key = (base_key, pc, block.spec_key)
         self.compile_counts[count_key] = \
             self.compile_counts.get(count_key, 0) + 1
+
+    def warm(self, key, heat) -> None:
+        """Set the heat of the head at *key* (a group key)."""
+        if key not in self.heat and len(self.heat) >= self.max_groups:
+            self.heat.pop(next(iter(self.heat)))  # FIFO bound
+        self.heat[key] = heat
 
 
 #: Process-wide default cache (pass ``block_cache=False`` to opt out).
@@ -394,8 +404,9 @@ class AvrCpu(SimClock):
     def set_tracer(self, tracer) -> None:
         """Install the trace compiler that serves ``_fuse_block``.
 
-        ``tracer.entry_for(pc)`` returns the ``(closure, icount, cost)``
-        dispatch entry for the trace headed at *pc*.
+        ``tracer.hot(pc)`` says whether the head at *pc* gets a trace
+        yet; ``tracer.entry_for(pc)`` then returns the ``(closure,
+        icount, cost)`` dispatch entry for the trace headed at *pc*.
         """
         self._tracer = tracer
         self.invalidate_decode()
@@ -582,10 +593,11 @@ class AvrCpu(SimClock):
         """Trace dispatch: one closure call per trace entry.
 
         Interrupts, due events, limits and ``until()`` are checked
-        once per dispatch (and by the trace at every seam).  A trace
-        whose head block could cross ``max_cycles`` or
-        ``max_instructions`` is not dispatched; the loop single-steps
-        instead, so the stop point is bit-identical to stepwise mode.
+        once per dispatch (and by the trace at every seam).  A cold
+        head (one ``_fuse_block`` has no trace for yet) runs one
+        instruction stepwise.  So does a trace whose head block could
+        cross ``max_cycles`` or ``max_instructions``, so the stop point
+        is bit-identical to stepwise mode.
         """
         blocks = self._blocks  # cleared in place by invalidate_decode
         irqs = self._pending_irqs
@@ -609,9 +621,9 @@ class AvrCpu(SimClock):
                     entry = blocks[pc]
                     if entry is None:
                         entry = self._fuse_block(pc)
-                    if self.instret + entry[1] > mi or \
-                            self.cycles + entry[2] >= mc:
-                        self.step()  # exact-stop epilogue: finish stepwise
+                    if entry is None or self.instret + entry[1] > mi \
+                            or self.cycles + entry[2] >= mc:
+                        self.step()  # cold head, or exact-stop epilogue
                     else:
                         entry[0]()
             if self.cycles >= events.next_due:
@@ -680,8 +692,9 @@ class AvrCpu(SimClock):
 
     # -- trace dispatch entries ------------------------------------------------
 
-    def _fuse_block(self, pc: int) -> Tuple[Callable[[], None], int, int]:
-        """The dispatch entry for *pc*: its trace, compiled or rebound.
+    def _fuse_block(self, pc: int) -> Optional[Tuple]:
+        """The dispatch entry for *pc*: its trace, compiled or rebound,
+        or None while the head is cold (never cached).
 
         Returns and caches ``(closure, instruction_count, head_cycles)``.
         """
@@ -689,6 +702,8 @@ class AvrCpu(SimClock):
         if tracer is None:
             from .trace import TraceCompiler  # trace.py imports this module
             tracer = self._tracer = TraceCompiler(self)
+        if not tracer.hot(pc):
+            return None
         entry = tracer.entry_for(pc)
         self._blocks[pc] = entry
         self._decoded = True

@@ -1,7 +1,10 @@
 """Trace JIT: the CPU's one fused code generator.
 
 With ``fuse=True`` every dispatch entry of :meth:`AvrCpu._fuse_block`
-is a trace compiled here: the head block plus the blocks its direct
+is a trace compiled here, once its head is hot: a head runs on the
+stepwise oracle (``AvrCpu.step``) until its ``TIER_UP``-th dispatch
+(:meth:`TraceCompiler.hot`), unless a cached or stored trace can serve
+it at once.  A trace is the head block plus the blocks its direct
 transfers chain into (unconditional jumps, conditional branches,
 ``SBRS``/``SBRC`` skips, and the specialized trap fast paths), as one
 ``exec``-compiled closure, so a hot loop executes with locals-only
@@ -96,6 +99,16 @@ _MAX_STRIP = 16_777_216
 #: conventions or the artifact schema must bump this.
 STORE_VERSION = 6
 
+#: Tier-up threshold: a trace head runs on the stepwise oracle for its
+#: first ``TIER_UP - 1`` dispatches and compiles on dispatch number
+#: ``TIER_UP`` (1 compiles every head on first sight).  One constant,
+#: set by tests; picked by a sweep over 64/128/256 (INTERNALS.md §11).
+TIER_UP = 64
+
+#: Heat of a head that got a trace in its scope: it stays hot, so a
+#: deopt, an eviction or a new spec-key variant recompiles at once.
+_HOT = float("inf")
+
 #: I/O addresses a direct access to which ends the trace: SREG lives in
 #: the ``sr`` local, and an SP write may raise ``TaskFault``, which only
 #: the dispatch path turns into a task kill (as for SP_READ/SP_WRITE).
@@ -106,12 +119,14 @@ _SHADOWED_IO = frozenset({ioports.SPL, ioports.SPH, ioports.SREG})
 class TraceStats:
     """Observability for tests, benchmarks and ``sensmart run --stats``."""
 
-    compiled: int = 0      # traces compiled from scratch in this process
-    declined: int = 0      # always 0: every block compiles to a trace
+    compiled: int = 0      # traces compiled from scratch (hot heads)
+    declined: int = 0      # always 0: every hot head compiles to a trace
     cache_hits: int = 0    # rebinds served by the in-process cache
     store_hits: int = 0    # recompiles served by the persistent store
     store_misses: int = 0  # store lookups that found no usable artifact
+                           # (one per compile under a store)
     lines: int = 0         # generated source lines of the compiled traces
+    stepped: int = 0       # dispatches of cold heads, served by step()
 
 
 def _base_ns(cpu) -> dict:
@@ -276,12 +291,16 @@ class TraceStore:
         self.max_files = max_files
         self.stats = TraceStoreStats()
         self._cache: Dict[str, dict] = {}  # filename -> traces dict
+        self._files: Dict[tuple, str] = {}  # base -> filename (memo)
 
     def _file_for(self, base) -> str:
-        fingerprint, mem_size, trap_ranges = base
-        tag = content_key(trap_ranges, digest_size=6)
-        return os.path.join(self.path,
-                            f"{fingerprint[:24]}_{mem_size}_{tag}.json")
+        filename = self._files.get(base)
+        if filename is None:
+            fingerprint, mem_size, trap_ranges = base
+            tag = content_key(trap_ranges, digest_size=6)
+            filename = self._files[base] = os.path.join(
+                self.path, f"{fingerprint[:24]}_{mem_size}_{tag}.json")
+        return filename
 
     def load(self, base) -> dict:
         """``{str(pc): {repr(spec_key): artifact}}`` for *base* (may be
@@ -356,8 +375,8 @@ class TraceCompiler:
     """Assembles, compiles, caches and rebinds traces.
 
     Installed on the CPU via :meth:`AvrCpu.set_tracer` (a bare CPU
-    builds one without a specializer on first use);
-    :meth:`entry_for` serves every ``_fuse_block`` call with a
+    builds one without a specializer on first use).  ``_fuse_block``
+    asks :meth:`hot` first; for a hot head, :meth:`entry_for` returns a
     ``(closure, icount, cost)`` dispatch entry: the head block's counts,
     so the dispatch-loop exact-stop check covers the head and seams
     cover the rest.
@@ -372,10 +391,49 @@ class TraceCompiler:
         self.max_blocks = max_blocks
         #: Start of every block chained behind the head of a trace this
         #: compiler built: the pcs a seam exit can leave the dispatch
-        #: loop at, mid-loop (cache priming fuses them ahead of time).
+        #: loop at, mid-loop.
         self.chained: Set[int] = set()
+        #: Heat scope under a private cache (``block_cache=False``): pc
+        #: -> cold dispatches, ``_HOT`` once it got a trace.  A shared
+        #: cache keeps its heat per image base instead.
+        self._heat: Dict[int, float] = {}
 
     # -- entry point --------------------------------------------------------------
+
+    def hot(self, pc: int) -> bool:
+        """Whether the dispatch at *pc* gets a trace entry now.
+
+        Heat gates compilation only, never a bind: a cached group at
+        *pc* (on a shared cache, only a head that got a trace in this
+        scope has one) or a matching store artifact serves the first
+        dispatch.  Otherwise the dispatch counts toward ``TIER_UP``; a
+        cold one returns False, counts in ``stats.stepped`` and runs on
+        the stepwise oracle.  A head that got a trace stays hot.  Cold
+        dispatches stay outside :meth:`entry_for`, which is called only
+        when a bind or a compile follows.
+        """
+        base = self.cpu._cache_base()
+        cache = None
+        if base is None:
+            heat, key = self._heat, pc
+        else:
+            cache = self.cpu._block_cache
+            key = (("trace",) + base, pc)
+            if key in cache.groups:
+                return True
+            heat = cache.heat
+        count = heat.get(key, 0) + 1
+        hot = count >= TIER_UP or (self.store is not None
+                                   and self._stored(pc))
+        if hot:
+            count = _HOT
+        else:
+            self.stats.stepped += 1
+        if cache is None:
+            heat[key] = count
+        else:
+            cache.warm(key, count)
+        return hot
 
     def entry_for(self, pc: int):
         cpu = self.cpu
@@ -447,29 +505,47 @@ class TraceCompiler:
         exec(block.code, ns)
         return (ns["_blk"], block.icount, block.cost)
 
+    def _stored_traces(self, pc: int) -> dict:
+        """The store's ``{repr(spec_key): artifact}`` for *pc*."""
+        return self.store.load(self._store_base()).get(str(pc)) or {}
+
+    def _stored(self, pc: int) -> bool:
+        """Whether the store holds an artifact for *pc* that matches
+        the current specialization constants."""
+        return any(self._match(key_repr, artifact) is not None
+                   for key_repr, artifact
+                   in self._stored_traces(pc).items())
+
     def _from_store(self, pc: int, mem_base):
-        entries = self.store.load(self._store_base()).get(str(pc))
-        if entries:
-            for key_repr, artifact in entries.items():
-                entry = self._load_artifact(pc, mem_base, key_repr,
-                                            artifact)
-                if entry is not None:
-                    return entry
+        for key_repr, artifact in self._stored_traces(pc).items():
+            entry = self._load_artifact(pc, mem_base, key_repr, artifact)
+            if entry is not None:
+                return entry
         self.stats.store_misses += 1
         return None
 
-    def _load_artifact(self, pc, mem_base, key_repr, artifact):
-        """Recompile one stored artifact, or None when it does not match
-        the current specialization constants or is corrupt in any way."""
+    def _match(self, key_repr, artifact):
+        """``(sites, key, task, kinds)`` when *artifact* was compiled
+        under the current specialization constants, else None (also
+        when its site list is corrupt)."""
         try:
             sites = tuple((int(s), int(t), bool(c))
                           for s, t, c in artifact["sites"])
             resolved = self._resolve_sites(sites)
-            if resolved is None:
-                return None
-            key, task, kinds = resolved
-            if repr(key) != key_repr:
-                return None
+        except (KeyError, IndexError, TypeError, ValueError):
+            return None
+        if resolved is None or repr(resolved[0]) != key_repr:
+            return None
+        return (sites,) + resolved
+
+    def _load_artifact(self, pc, mem_base, key_repr, artifact):
+        """Recompile one stored artifact, or None when it does not match
+        the current specialization constants or is corrupt in any way."""
+        matched = self._match(key_repr, artifact)
+        if matched is None:
+            return None
+        sites, key, task, kinds = matched
+        try:
             tables = _build_tables(artifact["tables"])
             source = artifact["source"]
             if not isinstance(source, str):

@@ -197,7 +197,7 @@ def _print_jit_stats(node) -> None:
         t = tracer.stats
         print(f"  tracer: {t.compiled} compiled ({t.lines} lines),"
               f" {t.cache_hits} cache hits, {t.store_hits} store hits,"
-              f" {t.store_misses} store misses")
+              f" {t.store_misses} store misses, {t.stepped} stepped")
     counts = kernel.stats.trap_counts
     if counts:
         tally = ", ".join(f"{kind.name}={count}"

@@ -85,10 +85,12 @@ class RegionTable:
                          task_ids: List[int]) -> List[MemoryRegion]:
         """Lay out one region per task, dividing free stack space.
 
-        Every task gets its heap plus an equal share of the remaining
-        space as initial stack (see KernelConfig.divide_stack_equally).
-        Raises :class:`OutOfMemory` when any task's share falls below
-        the configured minimum.
+        Every task gets its heap plus an initial stack: an equal share
+        of the remaining space, or ``initial_stack_size`` bytes when
+        ``KernelConfig.divide_stack_equally`` is off.  The last region
+        takes whatever is left, so the regions always cover the whole
+        application area.  Raises :class:`OutOfMemory` when any task's
+        share falls below the configured minimum.
         """
         if len(heap_sizes) != len(task_ids):
             raise KernelError("heap_sizes and task_ids length mismatch")
@@ -114,8 +116,8 @@ class RegionTable:
         cursor = self.lo
         for index, (task_id, heap) in enumerate(zip(task_ids, heap_sizes)):
             top = cursor + heap + share
-            if index == count - 1 and self.config.divide_stack_equally:
-                top = self.hi  # last region absorbs the rounding remainder
+            if index == count - 1:
+                top = self.hi  # last region absorbs the remainder
             if top > self.hi:
                 raise OutOfMemory("initial layout exceeds application area")
             region = MemoryRegion(task_id=task_id, p_l=cursor,

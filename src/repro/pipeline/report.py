@@ -211,7 +211,8 @@ def jit_stats_dict(node) -> dict:
                          "lines": t.lines,
                          "cache_hits": t.cache_hits,
                          "store_hits": t.store_hits,
-                         "store_misses": t.store_misses}
+                         "store_misses": t.store_misses,
+                         "stepped": t.stepped}
         if tracer.store is not None:
             st = tracer.store.stats
             out["trace_store"] = {"writes": st.writes,

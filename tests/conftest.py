@@ -5,12 +5,34 @@ from __future__ import annotations
 import pytest
 from hypothesis import settings
 
-from repro.avr import AvrCpu, Flash, assemble
+from repro.avr import AvrCpu, Flash, assemble, trace
 
 #: ``--hypothesis-profile=long``: the differential loop family (which
 #: takes half the profile's example count) runs 1000 examples
 #: instead of tier-1's 50.  Tests with an explicit count keep it.
 settings.register_profile("long", max_examples=2000)
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "tier_up_at_once: compile every trace head on its "
+        "first dispatch (trace.TIER_UP = 1)")
+
+
+@pytest.fixture(autouse=True)
+def tier_up_at_once(request):
+    """Pin ``trace.TIER_UP`` to 1 for a test (or a parameter) marked
+    ``tier_up_at_once``: it asserts that traces, specializations or
+    seams exist, which at the production threshold only hot heads get.
+    Every other test runs at the production threshold."""
+    if request.node.get_closest_marker("tier_up_at_once") is None:
+        yield
+        return
+    saved, trace.TIER_UP = trace.TIER_UP, 1
+    try:
+        yield
+    finally:
+        trace.TIER_UP = saved
 
 
 def run_asm(source: str, max_instructions: int = 1_000_000,

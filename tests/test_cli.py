@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -129,6 +131,9 @@ def test_run_json_stats_report(blink_file, capsys):
     tracer = report["jit"]["tracer"]
     # Generated lines count only traces compiled from scratch.
     assert (tracer["lines"] > 0) == (tracer["compiled"] > 0)
+    # A dispatch is stepped (cold head), compiled or rebound.
+    assert tracer["stepped"] + tracer["compiled"] + \
+        tracer["cache_hits"] > 0
 
 
 def test_run_stats_reports_containment(tmp_path, capsys):
@@ -146,6 +151,7 @@ main:
     assert "terminations: FAULT=1" in out
     assert "fault kinds: oob=1" in out
     assert " lines), " in out
+    assert re.search(r"store misses, \d+ stepped", out)
 
 
 def test_run_json_stats_containment(blink_file, capsys):

@@ -349,6 +349,7 @@ def _chained_sites(node):
     return chained
 
 
+@pytest.mark.tier_up_at_once
 def test_elided_sources_drop_the_guards(tmp_path):
     node = _run_node([("trap_mix", TRAP_MIX)], elide=True,
                      config=KernelConfig(trace_store=str(tmp_path)),
@@ -374,6 +375,7 @@ def test_elided_sources_drop_the_guards(tmp_path):
         assert facts is not None and facts.elide == claim
 
 
+@pytest.mark.tier_up_at_once
 def test_default_config_keeps_guards(tmp_path):
     """elide off (the default) must emit the full guard chain and a
     spec key with no elide token — certified or not."""

@@ -19,7 +19,11 @@ the two modes against each other at every stop of an instruction-limit
 sweep, bare-metal and under the kernel.  The region-edge family does the
 same for pointer accesses on both sides of every heap and stack edge and
 for stacks that outgrow their region, so every trap guard and slow arm
-runs, traced with guard elision off and on.
+runs, traced with guard elision off and on.  The loop, poll and
+region-edge families trace every program twice: compiling each head on
+its first dispatch (``TIER_UP = 1``, full trace coverage) and tiering up
+after two or three stepwise dispatches, so a head compiles mid-loop at
+every stop of the sweep.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import signal
 
 from hypothesis import example, given, settings, strategies as st
 
-from repro.avr import AvrCpu, Flash, assemble, ioports
+from repro.avr import AvrCpu, Flash, assemble, ioports, trace
 from repro.avr.devices.radio import RXC
 from repro.baselines.native import run_native
 from repro.cc import compile_c_to_asm
@@ -147,6 +151,30 @@ def test_kernelized_fusion_is_observationally_identical(source):
 #: the default profile (tier-1's budget); ``--hypothesis-profile=long``
 #: (registered in conftest.py) raises it.
 _LOOP_EXAMPLES = settings.default.max_examples // 2
+
+#: Tier-up thresholds a family traces with besides 1 (every head compiles
+#: on its first dispatch): a head steps once or twice, then compiles
+#: mid-loop.
+_TIER_UPS = st.sampled_from([2, 3])
+
+
+@contextlib.contextmanager
+def _tier_up(threshold: int):
+    """Set ``trace.TIER_UP`` inside a test body (Hypothesis rejects
+    function-scoped fixtures under ``@given``)."""
+    saved, trace.TIER_UP = trace.TIER_UP, threshold
+    try:
+        yield
+    finally:
+        trace.TIER_UP = saved
+
+
+def _traced(make, tier_up: int, **options):
+    """``(threshold, node)`` for a node traced at ``TIER_UP`` 1 and one
+    traced at *tier_up*."""
+    return [(threshold, make(True, **options))
+            for threshold in (1, tier_up)]
+
 
 #: SREG readers and writers on top of the straight-line soup, so flag
 #: elision and deferral meet carries and the Z-chain of CPC/SBC.
@@ -271,14 +299,17 @@ def _node_state(node):
                    task.exit_reason) for task in kernel.tasks.values()))
 
 
-def _sweep(make, state, stride: int) -> None:
-    """Advance a traced and a stepwise run through every stop; their
-    states must agree at each one and both must finish."""
-    traced, stepwise = make(True), make(False)
+def _sweep(make, state, stride: int, tier_up: int) -> None:
+    """Advance a stepwise run and two traced ones (``_traced``) through
+    every stop; their states must agree at each one and all must
+    finish."""
+    stepwise, traced = make(False), _traced(make, tier_up)
     for stop in _loop_stops(stride):
-        traced.run(max_instructions=stop)
         stepwise.run(max_instructions=stop)
-        assert state(traced) == state(stepwise), stop
+        for threshold, node in traced:
+            with _tier_up(threshold):
+                node.run(max_instructions=stop)
+            assert state(node) == state(stepwise), (threshold, stop)
         if getattr(stepwise, "cpu", stepwise).halted:
             return
         assert stop < 200_000, "generated program did not terminate"
@@ -292,10 +323,11 @@ _BREAK_AFTER_RUN = (".bss cells, 16\nmain:\n"
                     + "    add r16, r16\n" * 53 + "    break\n")
 
 
-@given(loop_program(), st.sampled_from([7, 13, 31]))
+@given(loop_program(), st.sampled_from([7, 13, 31]), _TIER_UPS)
 @settings(max_examples=_LOOP_EXAMPLES, deadline=None)
-@example(program=(_BREAK_AFTER_RUN, 2), stride=7)
-def test_loop_family_matches_stepwise_at_every_stop(program, stride):
+@example(program=(_BREAK_AFTER_RUN, 2), stride=7, tier_up=2)
+def test_loop_family_matches_stepwise_at_every_stop(program, stride,
+                                                    tier_up):
     source, cap = program
     image = assemble(source)
 
@@ -313,8 +345,8 @@ def test_loop_family_matches_stepwise_at_every_stop(program, stride):
             config=KernelConfig(time_slice_cycles=3_000), fuse=fuse,
             max_block_members=cap, block_cache=False)
 
-    _sweep(bare, _bare_state, stride)
-    _sweep(kernel, _node_state, stride)
+    _sweep(bare, _bare_state, stride, tier_up)
+    _sweep(kernel, _node_state, stride, tier_up)
 
 
 # -- poll-loop family: idle-loop fast-forward against the stepwise oracle --------
@@ -394,19 +426,23 @@ def _poll_state(node):
                                 node.adc.samples_taken)
 
 
-def _poll_sweep(make, limit: str, stops) -> None:
-    """Stop a traced and a stepwise node at every stop of *limit*; the
-    host delivers one radio byte to both after every eighth stop."""
-    traced, stepwise = make(True), make(False)
-    for index, stop in enumerate(stops(traced)):
-        traced.run(**{limit: stop})
+def _poll_sweep(make, limit: str, stops, tier_up: int) -> None:
+    """Stop a stepwise node and two traced ones (``_traced``) at every
+    stop of *limit*; the host delivers one radio byte to each after
+    every eighth stop."""
+    stepwise, traced = make(False), _traced(make, tier_up)
+    for index, stop in enumerate(stops(stepwise)):
         stepwise.run(**{limit: stop})
-        assert _poll_state(traced) == _poll_state(stepwise), (limit, stop)
+        for threshold, node in traced:
+            with _tier_up(threshold):
+                node.run(**{limit: stop})
+            assert _poll_state(node) == _poll_state(stepwise), \
+                (threshold, limit, stop)
         if stepwise.finished:
             return
         if index % 8 == 7:
-            traced.radio.deliver(b"\x5a")
-            stepwise.radio.deliver(b"\x5a")
+            for node in (stepwise, *(node for _, node in traced)):
+                node.radio.deliver(b"\x5a")
     raise AssertionError("generated program did not terminate")
 
 
@@ -434,13 +470,15 @@ _TX_POLLS = _poll_source(ioports.UCSR0A,
                          [f"sts {ioports.UDR0}, r16", "inc r16"], rounds=2)
 
 
-@given(poll_program(), st.none() | poll_program(), st.integers(1, 20_000))
+@given(poll_program(), st.none() | poll_program(), st.integers(1, 20_000),
+       _TIER_UPS)
 @settings(max_examples=_LOOP_EXAMPLES, deadline=None)
-@example(first=_ADC_POLL, second=None, hold=1)
-@example(first=_ADC_POLL_COUNTING, second=None, hold=1)
-@example(first=_TCNT0_POLL, second=None, hold=1)
-@example(first=_TX_POLLS, second=None, hold=1)
-def test_poll_family_matches_stepwise_at_every_stop(first, second, hold):
+@example(first=_ADC_POLL, second=None, hold=1, tier_up=2)
+@example(first=_ADC_POLL_COUNTING, second=None, hold=1, tier_up=2)
+@example(first=_TCNT0_POLL, second=None, hold=1, tier_up=2)
+@example(first=_TX_POLLS, second=None, hold=1, tier_up=2)
+def test_poll_family_matches_stepwise_at_every_stop(first, second, hold,
+                                                    tier_up):
     """Idle poll loops fast-forward in closed form; a traced node must
     still stop on exactly the stepwise state at every instruction stop,
     every cycle stop (the fleet's horizon stops) and an ``until()``
@@ -453,19 +491,22 @@ def test_poll_family_matches_stepwise_at_every_stop(first, second, hold):
             sources, config=KernelConfig(time_slice_cycles=3_000),
             fuse=fuse, block_cache=False)
 
-    _poll_sweep(make, "max_instructions", _instruction_stops)
-    _poll_sweep(make, "max_cycles", _cycle_stops)
+    _poll_sweep(make, "max_instructions", _instruction_stops, tier_up)
+    _poll_sweep(make, "max_cycles", _cycle_stops, tier_up)
     # until() pins the traces' horizon: they exit at their first seam,
-    # so the traced stop is a dispatch boundary at or after stepwise's.
-    traced, stepwise = make(True), make(False)
-    hold += traced.cpu.cycles
-    for node in (traced, stepwise):
+    # so a traced stop is a dispatch boundary at or after stepwise's.
+    stepwise, traced = make(False), _traced(make, tier_up)
+    hold += stepwise.cpu.cycles
+    for threshold, node in [(trace.TIER_UP, stepwise), *traced]:
         node.radio.deliver(b"\x5a\x5a")
-        node.run(max_instructions=400_000,
-                 until=lambda cpu: cpu.cycles >= hold)
-    if stepwise.cpu.instret < traced.cpu.instret:
-        stepwise.run(max_instructions=traced.cpu.instret)
-    assert _poll_state(traced) == _poll_state(stepwise)
+        with _tier_up(threshold):
+            node.run(max_instructions=400_000,
+                     until=lambda cpu: cpu.cycles >= hold)
+    for threshold, node in sorted(traced,
+                                  key=lambda pair: pair[1].cpu.instret):
+        if stepwise.cpu.instret < node.cpu.instret:
+            stepwise.run(max_instructions=node.cpu.instret)
+        assert _poll_state(node) == _poll_state(stepwise), threshold
 
 
 # -- region-edge family: trap guards and slow arms against the oracle ----------
@@ -575,13 +616,14 @@ def _edge_source(ops, heap: int) -> str:
 # stored instead of entering the scheduler).
 @given(st.lists(_edge_op(), min_size=1, max_size=5),
        st.none() | st.lists(_edge_op(), min_size=1, max_size=5),
-       st.sampled_from([7, 13, 31]))
+       st.sampled_from([7, 13, 31]), _TIER_UPS)
 @settings(max_examples=_LOOP_EXAMPLES, deadline=None)
-@example(first=[("push", 60)], second=None, stride=7)
-@example(first=[("push", 93)], second=None, stride=7)
-@example(first=[("pop",)], second=[("push", 60), ("push", 68)], stride=7)
+@example(first=[("push", 60)], second=None, stride=7, tier_up=2)
+@example(first=[("push", 93)], second=None, stride=7, tier_up=2)
+@example(first=[("pop",)], second=[("push", 60), ("push", 68)], stride=7,
+         tier_up=2)
 def test_region_edge_family_matches_stepwise_at_every_stop(first, second,
-                                                           stride):
+                                                           stride, tier_up):
     """Pointer accesses on both sides of every heap and stack edge
     (fast arms, guards, slow arms that fault the task), stacks that
     outgrow their region (push and call slow arms that relocate it, or
@@ -601,13 +643,15 @@ def test_region_edge_family_matches_stepwise_at_every_stop(first, second,
     stepwise = make(False)
     assert {region.stack_size for region in stepwise.kernel.regions
             .regions} == {_EDGE_STACK}
-    traced = [make(True), make(True, elide=True)]
+    traced = [*_traced(make, tier_up), *_traced(make, tier_up, elide=True)]
     with _watchdog(60):
         for stop in _loop_stops(stride):
             stepwise.run(max_instructions=stop)
-            for node in traced:
-                node.run(max_instructions=stop)
-                assert _node_state(node) == _node_state(stepwise), stop
+            for threshold, node in traced:
+                with _tier_up(threshold):
+                    node.run(max_instructions=stop)
+                assert _node_state(node) == _node_state(stepwise), \
+                    (threshold, stop)
             if stepwise.finished:
                 return
             assert stop < 200_000, "generated program did not terminate"

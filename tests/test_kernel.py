@@ -411,6 +411,56 @@ inner:
     assert all(t.exit_reason == "exit" for t in kernel.tasks.values())
 
 
+def test_fixed_initial_stacks_leave_the_rest_to_the_last_region():
+    """With ``divide_stack_equally`` off, every task starts with
+    ``initial_stack_size`` stack bytes and the last region takes the
+    rest of the application area; a recursing first task then grows
+    its stack from that last region, traced and stepwise alike."""
+    from repro.workloads.kernelbench import KERNEL_BENCHMARKS
+    recurse = """
+main:
+    ldi r24, 12
+    call recurse
+    break
+recurse:
+    push r2
+    push r3
+    dec r24
+    breq unwind
+    call recurse
+unwind:
+    pop r3
+    pop r2
+    ret
+"""
+    config = KernelConfig(divide_stack_equally=False,
+                          initial_stack_size=32)
+    sources = [("recurse", recurse)] + [
+        (name, KERNEL_BENCHMARKS[name]()) for name in ("crc", "lfsr",
+                                                       "timer")]
+
+    def run(fuse):
+        node = SensorNode.from_sources(sources, config=config, fuse=fuse)
+        table = node.kernel.regions
+        assert [r.stack_size for r in table.regions[:-1]] == [32] * 3
+        assert table.regions[-1].p_u == table.hi
+        assert table.regions[-1].stack_size > 32
+        node.run(max_instructions=2_000_000)
+        assert node.finished
+        assert all(task.exit_reason == "exit"
+                   for task in node.kernel.tasks.values())
+        return node
+
+    traced, stepwise = run(True), run(False)
+    assert traced.kernel.stats.relocations >= 1
+    assert traced.task_named("recurse").stack_grows >= 1
+    for node in (traced, stepwise):
+        assert (node.cpu.instret, node.cpu.cycles,
+                node.kernel.stats.relocations) == \
+            (stepwise.cpu.instret, stepwise.cpu.cycles,
+             stepwise.kernel.stats.relocations)
+
+
 def test_relocation_can_be_disabled():
     needy = """
 main:

@@ -128,6 +128,7 @@ def _cached_blocks(cpu: AvrCpu) -> int:
     return sum(1 for entry in cpu._blocks if entry is not None)
 
 
+@pytest.mark.tier_up_at_once
 def test_invalidate_decode_drops_fused_blocks():
     cpu = _run(_SOUP, fuse=True)
     assert _cached_blocks(cpu) > 0
@@ -135,6 +136,7 @@ def test_invalidate_decode_drops_fused_blocks():
     assert _cached_blocks(cpu) == 0
 
 
+@pytest.mark.tier_up_at_once
 def test_trap_region_changes_drop_fused_blocks():
     cpu = _run(_SOUP, fuse=True)
     assert _cached_blocks(cpu) > 0
@@ -239,8 +241,11 @@ def _stored(cpu: AvrCpu):
             for pc, entry in enumerate(cache) if entry is not None]
 
 
-@pytest.mark.parametrize("writer", [_decode_at, _trace_entry],
-                         ids=lambda writer: writer.__name__.strip("_"))
+@pytest.mark.parametrize(
+    "writer",
+    [_decode_at, pytest.param(_trace_entry,
+                              marks=pytest.mark.tier_up_at_once)],
+    ids=lambda writer: writer.__name__.strip("_"))
 def test_reburn_clears_what_each_writer_stored(writer):
     cpu = writer()
     assert len(_stored(cpu)) == 1  # the writer's store is the only one

@@ -1,6 +1,6 @@
 """Trace JIT: traces must be an invisible speed knob.
 
-Seven angles:
+Eight angles:
 
 * differential bit-identity — the paper workloads retire identical
   architectural and kernel state traced and stepwise;
@@ -17,6 +17,9 @@ Seven angles:
 * the persistent store — a warm process compiles nothing and
   reproduces the cold digest byte for byte; corrupt or mismatched
   store files fall back to a clean recompile;
+* tier-up — cold heads step and only hot ones compile, with the same
+  outcome; heat gates compiles, never binds, lives per node on a
+  private cache, is bounded on the shared one, and a head stays hot;
 * the SREG-liveness masks the flag-elision pass is built on.
 """
 
@@ -105,7 +108,9 @@ def _assert_polling_chained(node):
 
 # -- differential bit-identity --------------------------------------------------
 
-@pytest.mark.parametrize("workload", ["table1", "table2", "kernelbench"])
+@pytest.mark.parametrize("workload", [
+    pytest.param("table1", marks=pytest.mark.tier_up_at_once),
+    "table2", "kernelbench"])
 def test_traced_matches_every_other_tier(workload):
     sources = _workload_sources(workload, quick=True)
 
@@ -252,7 +257,10 @@ def _stops():
     yield from range(400 + 97, 20_001, 97)
 
 
-@pytest.mark.parametrize("name", sorted(_POLLING))
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=pytest.mark.tier_up_at_once)
+    if name in ("adc_delay", "readadc") else name
+    for name in sorted(_POLLING)])
 def test_polling_loops_match_stepwise_at_every_stop(name):
     """Traced polling loops retire stepwise-identical state whether run
     in one go or stopped at every early instruction count (each stop
@@ -307,6 +315,7 @@ poll:
 """
 
 
+@pytest.mark.tier_up_at_once
 def test_interrupt_raised_by_a_polled_read_stops_the_trace():
     """A device read inside a trace that raises an interrupt pins the
     trace's event horizon, so the trace exits at its next seam and the
@@ -378,6 +387,7 @@ def _receiver_polling_after_members(count: int) -> str:
                           f"    lds r17, {ioports.UCSR0A}\n")
 
 
+@pytest.mark.tier_up_at_once
 def test_radio_network_traced_matches_stepwise():
     def run(receiver, latency, **overrides):
         net = Network()
@@ -460,6 +470,7 @@ loop:
 """
 
 
+@pytest.mark.tier_up_at_once
 def test_slow_trap_that_ends_the_last_task_halts_on_its_site():
     """A trace's slow arm, and its deopt arm, hand a trap to the generic
     dispatch with the pc on the trap site, as stepwise execution does:
@@ -558,6 +569,7 @@ def _exit_kinds(emitter):
     return kinds
 
 
+@pytest.mark.tier_up_at_once
 def test_every_exit_breaks_to_one_write_back(monkeypatch):
     """Each trace writes its shadowed state back once, in the epilogue
     every exit breaks to: its only ``return`` is the deopt arm's, which
@@ -610,6 +622,7 @@ loop:
 """
 
 
+@pytest.mark.tier_up_at_once
 def test_shared_cache_rebinds_traces_across_relocation_and_reload():
     """A second node on one shared SuperblockCache must re-enter every
     trace the first compiled — through region-epoch deopts, an unload
@@ -843,3 +856,119 @@ def test_store_max_files_env_override(tmp_path, monkeypatch):
     monkeypatch.delenv("SENSMART_TRACE_STORE_MAX")
     assert trace_mod.TraceStore(str(tmp_path)).max_files == \
         trace_mod._DEFAULT_STORE_MAX_FILES
+
+
+# -- tier-up: only hot heads compile --------------------------------------------
+
+#: The cold-verdict bundle: six kernel benchmarks, 200k instructions.
+_BUNDLE = tuple((name, KERNEL_BENCHMARKS[name]())
+                for name in ("am", "crc", "eventchain", "lfsr", "readadc",
+                             "timer"))
+
+_COUNTDOWN = """
+main:
+    ldi r24, {count}
+loop:
+    dec r24
+    brne loop
+    break
+"""
+
+
+def _record_hot(node):
+    """Every ``(pc, hot)`` answer *node*'s tracer gives its dispatch
+    loop, in order."""
+    tracer = node.kernel.tracer
+    answers = []
+    hot = tracer.hot
+
+    def recording(pc):
+        answers.append((pc, hot(pc)))
+        return answers[-1][1]
+
+    tracer.hot = recording
+    return answers
+
+
+def test_tier_up_changes_what_compiles_not_what_runs(monkeypatch):
+    from repro.pipeline import Pipeline
+    from repro.pipeline.pipeline import BuildRequest
+    request = BuildRequest(sources=_BUNDLE, max_instructions=200_000)
+    assert trace.TIER_UP > 1
+    default = Pipeline().submit(request)
+    monkeypatch.setattr(trace, "TIER_UP", 1)
+    eager = Pipeline().submit(request)
+    # digest, instructions, cycles, traps, per-task outcomes
+    assert default["simulation"] == eager["simulation"]
+    lazy, every = default["jit"]["tracer"], eager["jit"]["tracer"]
+    assert 0 < lazy["compiled"] < every["compiled"]
+    assert lazy["stepped"] > 0 and every["stepped"] == 0
+
+
+def test_shared_cache_binds_a_hot_head_on_first_dispatch():
+    """Heat gates compilation only: a second node of the image binds
+    every trace the first compiled, with no cold dispatch at its head,
+    even once the image's heat is gone (heat fills the FIFO bound
+    faster than groups do)."""
+    cache = SuperblockCache()
+    sources = [("spin", _COUNTDOWN.format(count=200))]
+    first = SensorNode.from_sources(sources, block_cache=cache)
+    first.run()
+    heads = {pc for _, pc in cache.groups}
+    assert heads and first.kernel.tracer.stats.compiled == len(heads)
+    for forget in (False, True):
+        if forget:
+            cache.heat.clear()
+        node = SensorNode.from_sources(sources, block_cache=cache)
+        answers = _record_hot(node)
+        node.run()
+        assert _digest(node) == _digest(first)
+        assert node.kernel.tracer.stats.compiled == 0
+        assert node.kernel.tracer.stats.cache_hits == len(heads)
+        assert {pc for pc, _ in answers} >= heads
+        assert {hot for pc, hot in answers if pc in heads} == {True}
+
+
+def test_private_heat_keeps_verdict_counters_free_of_history():
+    """Under ``block_cache=False`` heat lives in the node: the same
+    bundle simulated twice in one process reports the same counters."""
+    from repro.pipeline.report import jit_stats_dict
+
+    def counters():
+        node = SensorNode.from_sources(list(_BUNDLE), block_cache=False)
+        node.run(max_instructions=200_000)
+        return jit_stats_dict(node)
+
+    first = counters()
+    assert first["tracer"]["stepped"] > 0
+    assert counters() == first
+
+
+def test_deopted_head_recompiles_on_its_next_dispatch():
+    """A head that got a trace stays hot: when its guard fails, the
+    next dispatch recompiles it instead of warming up again."""
+    node = _boot([("spin", _COUNTDOWN.format(count=250))])
+    answers = _record_hot(node)
+    tracer, spec = node.kernel.tracer, node.kernel.specializer
+    node.run(max_instructions=400)
+    assert tracer.stats.compiled == 1
+    (head,) = {pc for pc, hot in answers if hot}
+    # Retire the trace as an injected SRAM flip does: bump the epoch.
+    node.kernel.tasks[0].region_epoch += 1
+    seen = len(answers)
+    node.run()
+    assert node.finished and spec.stats.deopts == 1
+    assert [hot for pc, hot in answers[seen:] if pc == head] == [True]
+
+
+def test_shared_heat_stays_bounded_over_many_images():
+    cache = SuperblockCache(max_groups=16)
+    heads = 0
+    for count in range(100, 112):
+        node = SensorNode.from_sources(
+            [("spin", _COUNTDOWN.format(count=count))], block_cache=cache)
+        node.run()
+        heads += node.kernel.tracer.stats.stepped
+    assert heads > cache.max_groups  # far more cold heads than the bound
+    assert len(cache.heat) == cache.max_groups
+    assert len(cache.groups) <= cache.max_groups

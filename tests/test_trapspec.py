@@ -47,7 +47,9 @@ def _run(sources, fuse, max_instructions=50_000_000):
 
 # -- differential: specialized vs generic is bit-identical ---------------------
 
-@pytest.mark.parametrize("workload", ["table1", "table2", "kernelbench"])
+@pytest.mark.parametrize("workload", [
+    pytest.param("table1", marks=pytest.mark.tier_up_at_once),
+    "table2", "kernelbench"])
 def test_specialized_execution_is_bit_identical(workload):
     sources = _workload_sources(workload, quick=True)
     specialized = _run(sources, fuse=True)
