@@ -147,7 +147,8 @@ class SuperblockCache:
         #: exactly-once sharing property asserts max(...) == 1.
         self.compile_counts: dict = {}
         #: Tier-up heat per image base: (base_key, pc) -> cold
-        #: dispatches of the head (see ``TraceCompiler.hot``).
+        #: dispatches of a head that has no group (see
+        #: ``TraceCompiler.hot``); a head leaves it when it compiles.
         #: FIFO-bounded by *max_groups*, like the groups.
         self.heat: dict = {}
 

@@ -105,8 +105,8 @@ STORE_VERSION = 6
 #: set by tests; picked by a sweep over 64/128/256 (INTERNALS.md §11).
 TIER_UP = 64
 
-#: Heat of a head that got a trace in its scope: it stays hot, so a
-#: deopt, an eviction or a new spec-key variant recompiles at once.
+#: Heat of a head that got a trace under a private cache: it stays hot,
+#: so a deopt or a new spec-key variant recompiles at once.
 _HOT = float("inf")
 
 #: I/O addresses a direct access to which ends the trace: SREG lives in
@@ -291,16 +291,12 @@ class TraceStore:
         self.max_files = max_files
         self.stats = TraceStoreStats()
         self._cache: Dict[str, dict] = {}  # filename -> traces dict
-        self._files: Dict[tuple, str] = {}  # base -> filename (memo)
 
     def _file_for(self, base) -> str:
-        filename = self._files.get(base)
-        if filename is None:
-            fingerprint, mem_size, trap_ranges = base
-            tag = content_key(trap_ranges, digest_size=6)
-            filename = self._files[base] = os.path.join(
-                self.path, f"{fingerprint[:24]}_{mem_size}_{tag}.json")
-        return filename
+        fingerprint, mem_size, trap_ranges = base
+        tag = content_key(trap_ranges, digest_size=6)
+        return os.path.join(self.path,
+                            f"{fingerprint[:24]}_{mem_size}_{tag}.json")
 
     def load(self, base) -> dict:
         """``{str(pc): {repr(spec_key): artifact}}`` for *base* (may be
@@ -391,7 +387,7 @@ class TraceCompiler:
         self.max_blocks = max_blocks
         #: Start of every block chained behind the head of a trace this
         #: compiler built: the pcs a seam exit can leave the dispatch
-        #: loop at, mid-loop.
+        #: loop at, mid-loop (cache priming fuses them ahead of time).
         self.chained: Set[int] = set()
         #: Heat scope under a private cache (``block_cache=False``): pc
         #: -> cold dispatches, ``_HOT`` once it got a trace.  A shared
@@ -403,17 +399,18 @@ class TraceCompiler:
     def hot(self, pc: int) -> bool:
         """Whether the dispatch at *pc* gets a trace entry now.
 
-        Heat gates compilation only, never a bind: a cached group at
-        *pc* (on a shared cache, only a head that got a trace in this
-        scope has one) or a matching store artifact serves the first
-        dispatch.  Otherwise the dispatch counts toward ``TIER_UP``; a
-        cold one returns False, counts in ``stats.stepped`` and runs on
-        the stepwise oracle.  A head that got a trace stays hot.  Cold
-        dispatches stay outside :meth:`entry_for`, which is called only
-        when a bind or a compile follows.
+        Heat gates compilation only, never a bind: a head with a group
+        in the shared cache, or one whose first dispatch in its heat
+        scope finds a matching store artifact, is hot at once.
+        Otherwise the dispatch counts toward ``TIER_UP``; a cold one
+        returns False, counts in ``stats.stepped`` and runs on the
+        stepwise oracle.  A head that got a trace stays hot: on a
+        shared cache its group says so (a head whose group the FIFO
+        bound evicts warms up again), on a private one its heat turns
+        ``_HOT``.  Cold dispatches stay outside :meth:`entry_for`,
+        which is called only when a bind or a compile follows.
         """
         base = self.cpu._cache_base()
-        cache = None
         if base is None:
             heat, key = self._heat, pc
         else:
@@ -423,17 +420,19 @@ class TraceCompiler:
                 return True
             heat = cache.heat
         count = heat.get(key, 0) + 1
-        hot = count >= TIER_UP or (self.store is not None
-                                   and self._stored(pc))
-        if hot:
-            count = _HOT
-        else:
+        if count < TIER_UP and not (count == 1 and self.store is not None
+                                    and self._stored(pc)):
             self.stats.stepped += 1
-        if cache is None:
-            heat[key] = count
+            if base is None:
+                heat[key] = count
+            else:
+                cache.warm(key, count)
+            return False
+        if base is None:
+            heat[key] = _HOT
         else:
-            cache.warm(key, count)
-        return hot
+            heat.pop(key, None)  # the group entry_for stores marks it
+        return True
 
     def entry_for(self, pc: int):
         cpu = self.cpu

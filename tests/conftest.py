@@ -23,8 +23,10 @@ def pytest_configure(config):
 def tier_up_at_once(request):
     """Pin ``trace.TIER_UP`` to 1 for a test (or a parameter) marked
     ``tier_up_at_once``: it asserts that traces, specializations or
-    seams exist, which at the production threshold only hot heads get.
-    Every other test runs at the production threshold."""
+    seams exist, or it checks the traced tier against stepwise on code
+    whose heads run too few times to get hot at the production
+    threshold (such a test also asserts that traces ran).  Every other
+    test runs at the production threshold."""
     if request.node.get_closest_marker("tier_up_at_once") is None:
         yield
         return

@@ -31,6 +31,7 @@ from __future__ import annotations
 import contextlib
 import signal
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.avr import AvrCpu, Flash, assemble, ioports, trace
@@ -109,6 +110,13 @@ def test_sensmart_is_architecturally_invisible(source):
         kernel.cpu.mem.data[region.p_l:region.p_l + 16]
 
 
+def _traces(tracer) -> int:
+    """Trace entries *tracer* served: compiled, rebound or loaded."""
+    return tracer.stats.compiled + tracer.stats.cache_hits + \
+        tracer.stats.store_hits
+
+
+@pytest.mark.tier_up_at_once  # straight-line: every pc runs once
 @given(alu_program())
 @settings(max_examples=40, deadline=None)
 def test_superblock_fusion_is_observationally_identical(source):
@@ -123,6 +131,7 @@ def test_superblock_fusion_is_observationally_identical(source):
         assert cpu.halted
         cpus.append(cpu)
     fused, stepwise = cpus
+    assert _traces(fused._tracer) > 0
     assert bytes(fused.r) == bytes(stepwise.r)
     assert fused.sreg == stepwise.sreg
     assert fused.cycles == stepwise.cycles
@@ -130,6 +139,7 @@ def test_superblock_fusion_is_observationally_identical(source):
     assert fused.mem.data == stepwise.mem.data
 
 
+@pytest.mark.tier_up_at_once
 @given(alu_program())
 @settings(max_examples=12, deadline=None)
 def test_kernelized_fusion_is_observationally_identical(source):
@@ -139,6 +149,8 @@ def test_kernelized_fusion_is_observationally_identical(source):
         node = SensorNode.from_sources([("fuzz", source)], fuse=fuse)
         node.run(max_instructions=1_000_000)
         assert node.finished
+        if fuse:
+            assert _traces(node.kernel.tracer) > 0
         cpu = node.kernel.cpu
         states.append((bytes(cpu.r), cpu.sreg, cpu.pc, cpu.sp,
                        cpu.cycles, cpu.instret, bytes(cpu.mem.data)))

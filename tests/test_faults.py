@@ -42,7 +42,9 @@ def _digest(node):
 
 # -- null plan: attached-but-empty injector leaves no trace --------------------
 
-@pytest.mark.parametrize("workload", ["table1", "table2", "kernelbench"])
+@pytest.mark.parametrize("workload", [
+    pytest.param("table1", marks=pytest.mark.tier_up_at_once),
+    "table2", "kernelbench"])
 @pytest.mark.parametrize("fuse,elide",
                          [(True, True), (True, False), (False, False)])
 def test_null_plan_is_bit_identical(workload, fuse, elide):
@@ -56,6 +58,8 @@ def test_null_plan_is_bit_identical(workload, fuse, elide):
             FaultInjector(plan).attach("n", node)
         node.run(max_instructions=50_000_000)
         assert node.finished
+        if fuse:
+            assert node.kernel.tracer.stats.compiled > 0
         return node
 
     assert _digest(run(attach=False)) == _digest(run(attach=True))

@@ -103,7 +103,9 @@ def _sp_forger(form: str, logical_sp: int) -> str:
               "    break\n")
 
 
-@pytest.mark.parametrize("fuse", [True, False], ids=["fused", "stepwise"])
+@pytest.mark.parametrize("fuse", [
+    pytest.param(True, id="fused", marks=pytest.mark.tier_up_at_once),
+    pytest.param(False, id="stepwise")])
 @pytest.mark.parametrize("form", sorted(_SP_WRITES))
 def test_sp_forgery_is_rejected(form, fuse):
     """Every instruction that writes SPL/SPH gets the same stack-area
@@ -124,6 +126,9 @@ def test_sp_forgery_is_rejected(form, fuse):
     node = boot(treasure + 3 - (attacker_p_u - config.memory_size))
     node.run(max_instructions=20_000_000)
     assert node.finished
+    if fuse:
+        stats = node.kernel.tracer.stats
+        assert stats.compiled + stats.cache_hits > 0
     assert node.task_named("attacker").exit_reason.startswith(
         "fault: SP set outside stack area")
     assert node.cpu.mem.data[treasure + 2:treasure + 4] == b"\0\0"

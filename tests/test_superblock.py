@@ -17,6 +17,10 @@ from repro.avr.devices import Timer3
 from repro.avr.trace import TraceCompiler
 from repro.kernel import SensorNode
 
+#: Every test here is about fused execution: compile each trace head on
+#: its first dispatch, so short programs run traces, not just step().
+pytestmark = pytest.mark.tier_up_at_once
+
 # Exercises every fused member template family: 8-bit ALU, immediates,
 # 16-bit ADIW/SBIW, MUL, MOVW, shifts, bit ops, static SRAM LDS/STS,
 # LPM, plus BRNE/RJMP terminators inlined into blocks.
@@ -87,6 +91,7 @@ def test_fused_state_identical_to_stepwise():
     for source in (_SOUP, _SPIN):
         fused = _run(source, fuse=True)
         stepwise = _run(source, fuse=False)
+        assert _cached_blocks(fused) > 0  # traces ran, not just step()
         assert fused.halted and stepwise.halted
         assert _state(fused) == _state(stepwise)
 
@@ -103,6 +108,7 @@ def test_fused_max_cycles_stop_is_exact():
 def test_fused_max_instructions_stop_is_exact():
     fused = _run(_SOUP, fuse=True, max_instructions=137)
     stepwise = _run(_SOUP, fuse=False, max_instructions=137)
+    assert _cached_blocks(fused) > 0
     assert fused.instret == stepwise.instret == 137
     assert _state(fused) == _state(stepwise)
 
@@ -128,7 +134,6 @@ def _cached_blocks(cpu: AvrCpu) -> int:
     return sum(1 for entry in cpu._blocks if entry is not None)
 
 
-@pytest.mark.tier_up_at_once
 def test_invalidate_decode_drops_fused_blocks():
     cpu = _run(_SOUP, fuse=True)
     assert _cached_blocks(cpu) > 0
@@ -136,7 +141,6 @@ def test_invalidate_decode_drops_fused_blocks():
     assert _cached_blocks(cpu) == 0
 
 
-@pytest.mark.tier_up_at_once
 def test_trap_region_changes_drop_fused_blocks():
     cpu = _run(_SOUP, fuse=True)
     assert _cached_blocks(cpu) > 0
@@ -159,6 +163,7 @@ def test_reburning_flash_drops_stale_blocks():
     cpu = AvrCpu(flash, fuse=True)
     cpu.run(max_instructions=100)
     assert cpu.halted and cpu.r[16] == 1
+    assert _cached_blocks(cpu) > 0  # a fused block to go stale
 
     second = assemble("main:\n    ldi r16, 2\n    ldi r17, 2\n    break\n")
     flash.load(0, second.words)  # burn listener invalidates the caches
@@ -190,7 +195,7 @@ main:
 
     cpu.set_trap_region(0x200, 0x210, handler)
     cpu.run(max_instructions=100)
-    assert cpu.halted
+    assert cpu.halted and _cached_blocks(cpu) > 0
     assert cpu.r[16] == 1 and cpu.r[17] == 9
 
 
@@ -241,11 +246,8 @@ def _stored(cpu: AvrCpu):
             for pc, entry in enumerate(cache) if entry is not None]
 
 
-@pytest.mark.parametrize(
-    "writer",
-    [_decode_at, pytest.param(_trace_entry,
-                              marks=pytest.mark.tier_up_at_once)],
-    ids=lambda writer: writer.__name__.strip("_"))
+@pytest.mark.parametrize("writer", [_decode_at, _trace_entry],
+                         ids=lambda writer: writer.__name__.strip("_"))
 def test_reburn_clears_what_each_writer_stored(writer):
     cpu = writer()
     assert len(_stored(cpu)) == 1  # the writer's store is the only one
@@ -283,6 +285,7 @@ def test_alarm_due_mid_block_serviced_before_next_dispatch():
     probe = _AlarmProbe(due=101)  # mid-block by construction
     cpu.attach_device(probe)
     cpu.run(max_cycles=1000)
+    assert _cached_blocks(cpu) > 0
     assert probe.serviced_at is not None
     # Serviced at the first block boundary after coming due — within one
     # block's worth of cycles, never deferred to the run's end.
@@ -331,6 +334,7 @@ isr:
         cpu.run(max_instructions=10_000)
         assert cpu.halted, "interrupt lost: wait loop never broke"
         assert cpu.r[20] == 0xCC
+        assert (_cached_blocks(cpu) > 0) == fuse
         results.append(cpu.instret)
     # Fused delivery happens at a block boundary, so it may retire a few
     # extra loop instructions — but never run away.

@@ -257,10 +257,8 @@ def _stops():
     yield from range(400 + 97, 20_001, 97)
 
 
-@pytest.mark.parametrize("name", [
-    pytest.param(name, marks=pytest.mark.tier_up_at_once)
-    if name in ("adc_delay", "readadc") else name
-    for name in sorted(_POLLING)])
+@pytest.mark.tier_up_at_once
+@pytest.mark.parametrize("name", sorted(_POLLING))
 def test_polling_loops_match_stepwise_at_every_stop(name):
     """Traced polling loops retire stepwise-identical state whether run
     in one go or stopped at every early instruction count (each stop
@@ -349,6 +347,7 @@ def test_interrupt_raised_by_a_polled_read_stops_the_trace():
     _assert_polling_chained(whole)
 
 
+@pytest.mark.tier_up_at_once
 @pytest.mark.parametrize("name", sorted(_POLLING))
 def test_polling_loops_stop_on_until_like_untraced(name):
     """``until()`` is evaluated once per dispatch, and a pending
@@ -375,6 +374,7 @@ def test_polling_loops_stop_on_until_like_untraced(name):
     traced.run(max_instructions=50_000_000)
     stepwise.run(max_instructions=50_000_000)
     assert _digest(traced) == _digest(stepwise)
+    assert traced.kernel.tracer.stats.compiled > 0
 
 
 def _receiver_polling_after_members(count: int) -> str:
@@ -908,8 +908,8 @@ def test_tier_up_changes_what_compiles_not_what_runs(monkeypatch):
 def test_shared_cache_binds_a_hot_head_on_first_dispatch():
     """Heat gates compilation only: a second node of the image binds
     every trace the first compiled, with no cold dispatch at its head,
-    even once the image's heat is gone (heat fills the FIFO bound
-    faster than groups do)."""
+    also once the image's heat is gone (a group alone marks its head
+    hot)."""
     cache = SuperblockCache()
     sources = [("spin", _COUNTDOWN.format(count=200))]
     first = SensorNode.from_sources(sources, block_cache=cache)
@@ -962,13 +962,17 @@ def test_deopted_head_recompiles_on_its_next_dispatch():
 
 
 def test_shared_heat_stays_bounded_over_many_images():
+    """Shared heat holds the cold heads of every image up to the FIFO
+    bound; a head that compiles leaves it (its group marks it hot)."""
     cache = SuperblockCache(max_groups=16)
-    heads = 0
+    cold_heads = 0
     for count in range(100, 112):
         node = SensorNode.from_sources(
             [("spin", _COUNTDOWN.format(count=count))], block_cache=cache)
+        answers = _record_hot(node)
         node.run()
-        heads += node.kernel.tracer.stats.stepped
-    assert heads > cache.max_groups  # far more cold heads than the bound
+        cold_heads += len({pc for pc, hot in answers if not hot})
+    assert cold_heads > cache.max_groups
     assert len(cache.heat) == cache.max_groups
     assert len(cache.groups) <= cache.max_groups
+    assert not set(cache.heat) & set(cache.groups)
