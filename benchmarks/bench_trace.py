@@ -19,8 +19,6 @@ Extra modes for CI and tuning (no pytest plugin needed):
 
 * ``--quick`` — one timed pass per configuration plus the identity
   check.
-* ``--sweep`` — rate vs the ``max_block_members`` fusion cap
-  (satellite knob: ``KernelConfig.max_block_members``).
 * ``--phase cold|warm`` — persistent-store round trip: ``cold``
   populates ``SENSMART_TRACE_STORE`` and prints a digest; ``warm`` (a
   fresh process) must compile zero traces, serve everything from the
@@ -49,11 +47,11 @@ def _record(key: str, rate: float) -> None:
         json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
-def _run(workload: str, fuse: bool, max_block_members=None):
+def _run(workload: str, fuse: bool):
     def run():
         node = SensorNode.from_sources(
             [(workload, WORKLOADS[workload])], fuse=fuse,
-            max_block_members=max_block_members, block_cache=False)
+            block_cache=False)
         node.run(max_instructions=10_000_000)
         assert node.finished
         tracer = node.kernel.tracer
@@ -128,18 +126,6 @@ def _quick() -> None:
     print("quick smoke OK")
 
 
-def _sweep() -> None:
-    """Rate vs the trace fusion length cap."""
-    import time
-    for cap in (4, 8, 16, 32, 48, 64):
-        run = _run("trap_mix", fuse=True, max_block_members=cap)
-        started = time.perf_counter()
-        node = run()
-        elapsed = time.perf_counter() - started
-        print(f"max_block_members={cap:>3}: "
-              f"{node.cpu.instret / elapsed / 1e6:.2f} M instr/s")
-
-
 def _phase(which: str) -> None:
     """Persistent-store round trip, one phase per process.
 
@@ -178,11 +164,8 @@ if __name__ == "__main__":
     import sys
     if "--quick" in sys.argv:
         _quick()
-    elif "--sweep" in sys.argv:
-        _sweep()
     elif "--phase" in sys.argv:
         _phase(sys.argv[sys.argv.index("--phase") + 1])
     else:
         raise SystemExit(
-            "run under pytest, or pass --quick / --sweep / "
-            "--phase cold|warm")
+            "run under pytest, or pass --quick / --phase cold|warm")

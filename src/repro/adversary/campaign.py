@@ -27,8 +27,8 @@ the containment taxonomy:
 
 Classification uses only tier-invariant facts (termination reasons,
 TX logs, quiesced memory), so one seed produces a byte-identical
-survivability table under every execution tier and with guard elision
-on or off — pinned by tests and the CI golden.
+survivability table under every execution tier — pinned by tests and
+the CI golden.
 """
 
 from __future__ import annotations
@@ -272,18 +272,17 @@ def run_trial(shape: AttackShape, trial: Trial,
 
 def run_inject(quick: bool = False, seed: int = DEFAULT_SEED,
                shapes: Optional[Sequence[str]] = None,
-               fuse: Optional[bool] = None,
-               elide: Optional[bool] = None) -> InjectResult:
+               fuse: Optional[bool] = None) -> InjectResult:
     """Run the injection campaign and classify every trial.
 
     *quick* runs only the fixed anchor trials per shape; the full
     campaign adds :data:`RANDOM_TRIALS` seeded draws per shape.  The
-    tier overrides (*fuse*, *elide*; see
-    :meth:`~repro.kernel.node.SensorNode.from_sources`) apply to the
+    tier override (*fuse*; see
+    :meth:`~repro.kernel.node.SensorNode.from_sources`) applies to the
     victim node (the machinery under test); mallory always runs in the
     default tier — the attack bytes on the air are identical either way.
     """
-    tier = dict(fuse=fuse, elide=elide)
+    tier = dict(fuse=fuse)
     selected = [s for s in SHAPES if shapes is None or s.name in shapes]
     randoms = 0 if quick else RANDOM_TRIALS
     books: Dict[str, AddressBook] = {}

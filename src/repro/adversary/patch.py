@@ -321,16 +321,14 @@ def cold_digest(source: str = WORKER_V2, **tier) -> str:
 
 
 def run_patch(quick: bool = False, seed: int = DEFAULT_SEED,
-              fuse: Optional[bool] = None,
-              elide: Optional[bool] = None) -> PatchReport:
+              fuse: Optional[bool] = None) -> PatchReport:
     """Run the live hot-patch scenario end to end.
 
-    The tier overrides (*fuse*, *elide*; see
-    :meth:`~repro.kernel.node.SensorNode.from_sources`) apply to every
+    The tier override (*fuse*; see
+    :meth:`~repro.kernel.node.SensorNode.from_sources`) applies to every
     node but the updater.
     """
-    tier = {k: v for k, v in dict(fuse=fuse, elide=elide).items()
-            if v is not None}
+    tier = {} if fuse is None else dict(fuse=fuse)
     passes = 2 if quick else 3
     post_cycles = 300_000 if quick else POST_CYCLES
 

@@ -1,6 +1,6 @@
 """Static firmware analysis: CFG/call-graph, stack bounds, soundness lint.
 
-Three cooperating passes over compiled (and naturalized) programs:
+Four cooperating passes over compiled (and naturalized) programs:
 
 * :mod:`.cfg` — basic-block control-flow graph and call graph, with
   conservative resolution of ``IJMP``/``ICALL`` targets;
@@ -8,18 +8,15 @@ Three cooperating passes over compiled (and naturalized) programs:
   per task, with recursion-cycle detection;
 * :mod:`.dataflow` / :mod:`.values` — forward abstract interpretation
   (constants, intervals, region-relative pointers) that narrows
-  indirect targets and emits machine-checkable elision certificates;
+  indirect targets;
 * :mod:`.lint` — the rewriter soundness linter: re-disassembles a
   naturalized image and proves every patch site is covered and no
-  un-trapped instruction can reach OS-reserved state, and
-  independently re-verifies every elision certificate.
+  un-trapped instruction can reach OS-reserved state.
 """
 
 from .cfg import ControlFlowGraph, build_cfg
-from .dataflow import (DataflowAnalysis, ElisionCertificate,
-                       analyze_image, image_certificates,
-                       program_certificates, resolve_indirect_targets,
-                       validated_elisions, verify_certificate)
+from .dataflow import (DataflowAnalysis, analyze_image,
+                       resolve_indirect_targets)
 from .lint import LintFinding, LintReport, lint_image, lint_sources
 from .liveness import (ALL_FLAGS, SregLiveness, block_transfer,
                        sreg_effects, sreg_liveness)
@@ -29,10 +26,7 @@ from .values import AbsState, Interval, Word
 __all__ = [
     "ControlFlowGraph", "build_cfg",
     "INFINITE_DEPTH", "StackAnalysis", "analyze_program",
-    "DataflowAnalysis", "ElisionCertificate", "analyze_image",
-    "image_certificates", "program_certificates",
-    "resolve_indirect_targets", "validated_elisions",
-    "verify_certificate",
+    "DataflowAnalysis", "analyze_image", "resolve_indirect_targets",
     "AbsState", "Interval", "Word",
     "LintFinding", "LintReport", "lint_image", "lint_sources",
     "ALL_FLAGS", "SregLiveness", "block_transfer",

@@ -3,32 +3,17 @@
 The engine propagates the :mod:`values` domain — byte intervals,
 16-bit pair facts (absolute and SP-relative), a stack-depth interval
 and known-constant SREG flags — through every reachable block,
-interprocedurally, with widening at re-visited joins.  Three consumers
-sit on top of the fixpoint:
-
-1. **CFG tightening** (:func:`resolve_indirect_targets`): an
-   ``IJMP``/``ICALL`` whose Z fact is a small absolute interval gets
-   exactly those targets instead of the pool / all-labels fallback;
-2. **elision certificates** (:func:`program_certificates`): for each
-   patched memory site the engine can prove in-region for every
-   reachable state, a machine-checkable :class:`ElisionCertificate`
-   carrying the claim, the site fact and the full fixpoint annotation
-   (per-block invariants) as the proof;
-3. **independent verification** (:func:`verify_certificate`): the lint
-   side re-derives each proof from the image alone — one transfer pass
-   checks the carried invariants are *inductive* (entry condition,
-   every block's outflow contained in its successors' invariants) and
-   that the site fact they imply entails the claim.  A tampered
-   certificate breaks inductiveness or the claim and is rejected with
-   a precise finding; the producer's fixpoint is never trusted.
+interprocedurally, with widening at re-visited joins.  Its consumer is
+**CFG tightening** (:func:`resolve_indirect_targets`): an
+``IJMP``/``ICALL`` whose Z fact is a small absolute interval gets
+exactly those targets instead of the pool / all-labels fallback.
+:func:`analyze_image` reports the resolution quality per task (the
+``sensmart analyze`` data).
 
 Soundness note: the engine never assumes boot register contents (task
 entry is all-⊤), never assumes an ABI (call clobbers are the callee
 closure's syntactic may-write set), and treats everything it cannot
-model as ⊤.  Claims are stated in *logical* addresses and stack depth,
-both invariant under region relocation, so a proof survives every
-``region_epoch`` — the JIT tiers keep their task/epoch guards and drop
-only the logical range checks.
+model as ⊤.
 """
 
 from __future__ import annotations
@@ -37,20 +22,13 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ...avr import ioports
 from ...avr.instruction import DataWord, Instruction
 from ...avr.isa import (FLAG_C, FLAG_Z, IO_SPH, IO_SPL, IO_SREG,
                         PTR_BASE, Format)
 from .cfg import ControlFlowGraph, build_cfg
 from .liveness import sreg_effects
-from .values import (AbsState, Interval, Word, BYTE_MAX, WORD_MAX,
-                     SPL_BYTE, SPH_BYTE, TOP_BYTE, leq_depth, leq_word)
-
-#: Logical data-memory geometry (matches ``KernelConfig`` defaults; a
-#: certificate records the geometry it was proved against and consumers
-#: ignore it under any other geometry).
-RAM_START = ioports.RAM_START
-MEMORY_SIZE = ioports.DATA_SIZE
+from .values import (AbsState, Interval, BYTE_MAX, WORD_MAX, SPL_BYTE,
+                     SPH_BYTE, TOP_BYTE)
 
 #: Joins at one block before widening kicks in.
 WIDEN_AFTER = 3
@@ -58,11 +36,6 @@ WIDEN_AFTER = 3
 VISIT_CAP = 60
 #: Widest Z interval an indirect site may resolve through.
 NARROW_MAX = 8
-
-#: Patched-site kinds the engine states facts for.
-_SITE_KINDS = {"LD": "MEM_INDIRECT", "ST": "MEM_INDIRECT",
-               "LDD": "MEM_INDIRECT", "STD": "MEM_INDIRECT",
-               "POP": "STACK_POP"}
 
 _ALL_REGS_MASK = (1 << 32) - 1
 
@@ -130,8 +103,7 @@ def transfer(state: AbsState, ins: Instruction,
     """Apply one instruction's register/depth/flag effect in place.
 
     Control flow (branches, calls, skips) is the engine's concern; this
-    covers data effects only, and is shared verbatim by the fixpoint
-    and the certificate checker so both mean the same thing by a state.
+    covers data effects only.
     """
     mnemonic, ops = ins.mnemonic, ins.operands
     # Flags first: drop everything the instruction may write, then add
@@ -290,47 +262,6 @@ def transfer(state: AbsState, ins: Instruction,
     # CBI/SBI, SBIC/SBIS, SBRC/SBRS) has no register/depth effect here.
 
 
-def _access_fact(state: AbsState,
-                 ins: Instruction) -> Tuple[Optional[Word],
-                                            Optional[Interval]]:
-    """(effective data address, stack depth) just before *ins* runs."""
-    mnemonic, ops = ins.mnemonic, ins.operands
-    if mnemonic == "POP":
-        return None, state.depth
-    if mnemonic in ("LD", "ST"):
-        mode = ops[1]
-        word = state.get_word(PTR_BASE[mode.strip("+-")])
-        if mode.startswith("-") and word is not None:
-            word = word.add(-1)
-        return word, state.depth
-    # LDD / STD: (reg, ptr, q)
-    word = state.get_word(PTR_BASE[ops[1]])
-    if word is not None:
-        word = word.add(ops[2])
-    return word, state.depth
-
-
-@dataclass
-class SiteFact:
-    """Joined abstract facts observed at one patched site."""
-
-    kind: str
-    access: Optional[Word] = None
-    depth: Optional[Interval] = None
-    visits: int = 0
-
-    def absorb(self, access: Optional[Word],
-               depth: Optional[Interval]) -> None:
-        if self.visits == 0:
-            self.access, self.depth = access, depth
-        else:
-            self.access = self.access.join(access) \
-                if self.access is not None else None
-            self.depth = self.depth.join(depth) \
-                if self.depth is not None and depth is not None else None
-        self.visits += 1
-
-
 @dataclass
 class _Flows:
     """Outcome of walking one block from one entry state."""
@@ -353,10 +284,8 @@ class DataflowAnalysis:
         self.labels = dict(labels or {})
         self.cfg: ControlFlowGraph = build_cfg(
             self.items, entry, self.labels, dataflow=False)
-        self.instructions = {
-            item.address: item for item in self.items
-            if isinstance(item, Instruction)}
-        self.addresses = set(self.instructions)
+        self.addresses = {item.address for item in self.items
+                          if isinstance(item, Instruction)}
         self.flash = _flash_bytes(self.items)
         #: Conservative candidate targets per indirect site.
         self.base_targets: Dict[int, Tuple[int, ...]] = {}
@@ -373,7 +302,6 @@ class DataflowAnalysis:
         self.clobbers = self._clobber_masks()
         #: (function entry, block start) -> entry invariant.
         self.invariants: Dict[Tuple[int, int], AbsState] = {}
-        self.site_facts: Dict[int, SiteFact] = {}
         #: Indirect sites whose final target set beats the candidates.
         self.indirect_targets: Dict[int, Tuple[int, ...]] = {}
         self._ran = False
@@ -406,7 +334,7 @@ class DataflowAnalysis:
                     changed = True
         return masks
 
-    # -- shared block walk --------------------------------------------------------
+    # -- block walk ---------------------------------------------------------------
 
     def _narrow_indirect(self, node, state: AbsState) \
             -> Tuple[Tuple[int, ...], bool]:
@@ -422,16 +350,14 @@ class DataflowAnalysis:
                 return targets, True
         return candidates, False
 
-    def _post_call(self, state: AbsState, callees: Sequence[int],
-                   exit_depth) -> Tuple[Optional[AbsState],
-                                        Optional[Tuple[int, ...]]]:
+    def _post_call(self, state: AbsState, callees: Sequence[int]) \
+            -> Tuple[Optional[AbsState], Optional[Tuple[int, ...]]]:
         """Caller state after a call returns, or (None, pending) while
-        no callee exit is known yet.  *exit_depth* maps a callee entry
-        to "missing" / None (⊤) / an Interval."""
+        no callee exit is known yet."""
         depths = []
         returning = False
         for callee in callees:
-            exit_iv = exit_depth(callee)
+            exit_iv = self._exit_depth(callee)
             if exit_iv == "missing":
                 continue
             returning = True
@@ -459,16 +385,12 @@ class DataflowAnalysis:
                 post.depth = post.depth.join(iv)
         return post, None
 
-    def _block_flows(self, fn: int, node, entry_state: AbsState,
-                     exit_depth, on_ins=None) -> _Flows:
+    def _block_flows(self, fn: int, node, entry_state: AbsState) -> _Flows:
         """Walk one block: apply transfers, then compute the out-flows
-        the terminator induces.  Used identically by the fixpoint and
-        the certificate checker (``exit_depth`` differs)."""
+        the terminator induces."""
         state = entry_state.copy()
         flows = _Flows()
         for ins in node.block.instructions:
-            if on_ins is not None:
-                on_ins(ins, state)
             transfer(state, ins, self.flash)
         last = node.block.instructions[-1]
         mnemonic = last.mnemonic
@@ -494,7 +416,7 @@ class DataflowAnalysis:
                     flows.calls.append((callee, entry))
             fallthrough = node.successors
             if callees:
-                post, pending = self._post_call(state, callees, exit_depth)
+                post, pending = self._post_call(state, callees)
             else:  # call outside the item list: assume nothing
                 post, pending = AbsState.top(depth=None), None
             if post is not None:
@@ -538,12 +460,6 @@ class DataflowAnalysis:
         #: (their fallthrough depth depends on the callee's RET depth).
         ret_deps: Dict[int, Set[Tuple[int, int]]] = {}
 
-        def exit_depth_of(callee: int):
-            # Derived from the *current* invariants — the same
-            # definition the checker uses, so at the fixpoint both
-            # compute identical post-call states.
-            return self._checked_exit_depth(inv, callee)
-
         def push(key: Tuple[int, int], state: AbsState) -> None:
             old = inv.get(key)
             if old is None:
@@ -576,7 +492,7 @@ class DataflowAnalysis:
             node = self.cfg.nodes.get(start)
             if node is None:
                 continue
-            flows = self._block_flows(fn, node, inv[key], exit_depth_of)
+            flows = self._block_flows(fn, node, inv[key])
             # Register return dependencies *before* pushing the callee
             # entries, so the callee's very first invariant already
             # requeues this block for its fallthrough flow.
@@ -589,31 +505,16 @@ class DataflowAnalysis:
             for callee, state in flows.calls:
                 push((callee, callee), state)
 
-        self._collect_facts()
+        self._collect_targets()
         return self
 
-    def _collect_facts(self) -> None:
-        """One pass over the stable invariants: joined per-site facts
-        plus the final narrowed indirect-target sets."""
+    def _collect_targets(self) -> None:
+        """One pass over the stable invariants: the final narrowed
+        indirect-target sets."""
         final_targets: Dict[int, Set[int]] = {}
         narrowed_sites: Set[int] = set()
-
-        def exit_depth_of(callee: int):
-            return self._checked_exit_depth(self.invariants, callee)
-
         for (fn, start), state in self.invariants.items():
             node = self.cfg.nodes[start]
-
-            def on_ins(ins, st):
-                kind = _SITE_KINDS.get(ins.mnemonic)
-                if kind is not None:
-                    access, depth = _access_fact(st, ins)
-                    fact = self.site_facts.setdefault(
-                        ins.address, SiteFact(kind=kind))
-                    fact.absorb(access, depth)
-
-            self._block_flows(fn, node, state, exit_depth_of,
-                              on_ins=on_ins)
             site = node.indirect_site
             if site is not None:
                 walk = state.copy()
@@ -628,11 +529,13 @@ class DataflowAnalysis:
                     set(self.base_targets.get(site, ())) != targets:
                 self.indirect_targets[site] = tuple(sorted(targets))
 
-    def _checked_exit_depth(self, inv: Dict[Tuple[int, int], AbsState],
-                            callee: int):
+    def _exit_depth(self, callee: int):
+        """*callee*'s stack depth at its RETs under the current
+        invariants: "missing" while no RET block has one, None (⊤), or
+        an Interval."""
         found = False
         joined: Optional[Interval] = None
-        for (fn, start), state in inv.items():
+        for (fn, start), state in self.invariants.items():
             if fn != callee:
                 continue
             node = self.cfg.nodes.get(start)
@@ -658,318 +561,10 @@ def resolve_indirect_targets(items: Sequence, entry: int,
     return DataflowAnalysis(items, entry, labels).run().indirect_targets
 
 
-# -- elision claims and certificates ---------------------------------------------
-
-#: Claim names, by site kind they may attach to.
-CLAIM_KINDS = {"heap": "MEM_INDIRECT", "stack": "MEM_INDIRECT",
-               "pop": "STACK_POP"}
-
-
-def _claim_for(fact: SiteFact, heap_high: int,
-               memory_size: int) -> Optional[Tuple[str, Tuple[str, ...]]]:
-    """The strongest provable claim at a site, with its proof steps."""
-    if fact.visits == 0:
-        return None
-    if fact.kind == "STACK_POP":
-        if fact.depth is not None and fact.depth.lo >= 1:
-            return "pop", (
-                f"stack depth in [{fact.depth.lo}, {fact.depth.hi}] at "
-                f"the POP for every reachable state",
-                "depth >= 1: the pop cannot underflow, so "
-                "sp+1 < p_u holds at any region placement")
-        return None
-    access = fact.access
-    if access is None:
-        return None
-    if access.base == "abs":
-        if RAM_START <= access.iv.lo and access.iv.hi < heap_high:
-            return "heap", (
-                f"effective address in [{access.iv.lo:#06x}, "
-                f"{access.iv.hi:#06x}] for every reachable state",
-                f"contained in the logical heap [{RAM_START:#06x}, "
-                f"{heap_high:#06x}): the heap arm is always taken and "
-                "p_l <= p_l + (addr - ram_start) < p_h by layout")
-        return None
-    # SP-relative: address = logical SP + offset.
-    if fact.depth is None:
-        return None
-    off, depth = access.iv, fact.depth
-    if off.lo >= 1 and off.hi <= depth.lo and \
-            depth.hi - off.lo <= memory_size - 1 - heap_high:
-        return "stack", (
-            f"address = SP + [{off.lo}, {off.hi}] with stack depth in "
-            f"[{depth.lo}, {depth.hi}]",
-            "1 <= offset <= depth: the access stays inside the live "
-            "stack, which every region placement keeps inside "
-            "[p_h, p_u)")
-    return None
-
-
-@dataclass
-class ElisionCertificate:
-    """A machine-checkable proof that one patched site is in-region.
-
-    ``invariants`` is the full fixpoint annotation — per (function,
-    block) abstract states — and is the *entire* proof: the checker
-    re-derives everything else (inductiveness, the site fact, the
-    claim) from the image and these states alone.
-    """
-
-    program: str
-    site: int                  # original (pre-naturalization) address
-    nat_site: int              # naturalized site address (-1 = unmapped)
-    kind: str                  # PatchKind name the claim attaches to
-    claim: str                 # "heap" | "stack" | "pop"
-    geometry: Tuple[int, int, int]  # (ram_start, heap_high, memory_size)
-    fact: dict                 # serialized site fact
-    steps: Tuple[str, ...]     # human-readable proof narration
-    invariants: dict           # {fn: {block: serialized AbsState}}
-
-    def to_obj(self) -> dict:
-        return {"program": self.program, "site": self.site,
-                "nat_site": self.nat_site, "kind": self.kind,
-                "claim": self.claim, "geometry": list(self.geometry),
-                "fact": self.fact, "steps": list(self.steps),
-                "invariants": self.invariants}
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> "ElisionCertificate":
-        return cls(program=obj["program"], site=int(obj["site"]),
-                   nat_site=int(obj["nat_site"]), kind=obj["kind"],
-                   claim=obj["claim"],
-                   geometry=tuple(int(g) for g in obj["geometry"]),
-                   fact=obj["fact"], steps=tuple(obj["steps"]),
-                   invariants=obj["invariants"])
-
-
-def _serialize_fact(fact: SiteFact) -> dict:
-    return {
-        "kind": fact.kind,
-        "access": None if fact.access is None
-        else [fact.access.base, fact.access.iv.lo, fact.access.iv.hi],
-        "depth": None if fact.depth is None
-        else [fact.depth.lo, fact.depth.hi],
-    }
-
-
-def _parse_fact_obj(obj: dict) -> Tuple[Optional[Word],
-                                        Optional[Interval]]:
-    access = obj.get("access")
-    word = None if access is None else \
-        Word(access[0], Interval(int(access[1]), int(access[2])))
-    depth = obj.get("depth")
-    iv = None if depth is None else Interval(int(depth[0]),
-                                             int(depth[1]))
-    return word, iv
-
-
-def program_certificates(program) -> Dict[int, ElisionCertificate]:
-    """Run the engine over *program* and emit a certificate for every
-    site whose in-region proof went through.  Keyed by original site
-    address; ``nat_site`` is filled in by the image layer."""
-    analysis = DataflowAnalysis(program.items, program.entry,
-                                program.symbols.labels).run()
-    heap_high = RAM_START + program.symbols.heap_size
-    inv_obj: Dict[str, Dict[str, dict]] = {}
-    for (fn, start), state in sorted(analysis.invariants.items()):
-        inv_obj.setdefault(str(fn), {})[str(start)] = state.to_obj()
-    certs: Dict[int, ElisionCertificate] = {}
-    for address in sorted(analysis.site_facts):
-        fact = analysis.site_facts[address]
-        claim = _claim_for(fact, heap_high, MEMORY_SIZE)
-        if claim is None:
-            continue
-        name, steps = claim
-        certs[address] = ElisionCertificate(
-            program=program.name, site=address, nat_site=-1,
-            kind=fact.kind, claim=name,
-            geometry=(RAM_START, heap_high, MEMORY_SIZE),
-            fact=_serialize_fact(fact), steps=steps,
-            invariants=inv_obj)
-    return certs
-
-
-def verify_certificate(program, cert: ElisionCertificate) -> List[str]:
-    """Independently re-derive *cert*'s proof from *program* alone.
-
-    Checks, in order: geometry against the image's symbol list, the
-    site's existence and kind, the entry condition, inductiveness of
-    every carried invariant (one transfer pass — the producer's
-    fixpoint is not trusted), and finally that the invariants imply the
-    carried site fact and the site fact entails the claim.  Returns a
-    list of precise error strings (empty = valid).
-    """
-    errors: List[str] = []
-    heap_high = RAM_START + program.symbols.heap_size
-    if tuple(cert.geometry) != (RAM_START, heap_high, MEMORY_SIZE):
-        return [f"geometry {tuple(cert.geometry)} does not match the "
-                f"image ({RAM_START}, {heap_high}, {MEMORY_SIZE})"]
-    if cert.claim not in CLAIM_KINDS:
-        return [f"unknown claim {cert.claim!r}"]
-    if CLAIM_KINDS[cert.claim] != cert.kind:
-        return [f"claim {cert.claim!r} cannot attach to a "
-                f"{cert.kind} site"]
-    analysis = DataflowAnalysis(program.items, program.entry,
-                                program.symbols.labels)
-    site_ins = analysis.instructions.get(cert.site)
-    if site_ins is None or _SITE_KINDS.get(site_ins.mnemonic) != cert.kind:
-        return [f"site {cert.site:#06x} is not a {cert.kind} "
-                f"instruction in this image"]
-    # Parse the carried fixpoint annotation.
-    inv: Dict[Tuple[int, int], AbsState] = {}
-    try:
-        for fn, blocks in cert.invariants.items():
-            for start, obj in blocks.items():
-                key = (int(fn), int(start))
-                if key[1] not in analysis.cfg.nodes:
-                    errors.append(
-                        f"invariant names unknown block {key[1]:#06x}")
-                    continue
-                inv[key] = AbsState.from_obj(obj)
-    except (KeyError, ValueError, TypeError, IndexError) as exc:
-        return [f"malformed invariant: {exc}"]
-    if errors:
-        return errors
-    entry_key = (program.entry, program.entry)
-    if entry_key not in inv:
-        return [f"no invariant at the program entry "
-                f"{program.entry:#06x}"]
-    if not AbsState.top(Interval(0, 0)).leq(inv[entry_key]):
-        errors.append("entry invariant does not cover the boot state "
-                      "(all-unknown registers, depth 0)")
-
-    def exit_depth_of(callee: int):
-        return analysis._checked_exit_depth(inv, callee)
-
-    # Inductiveness: one transfer pass over every carried invariant.
-    for key in sorted(inv):
-        fn, start = key
-        node = analysis.cfg.nodes[start]
-        flows = analysis._block_flows(fn, node, inv[key], exit_depth_of)
-        for target, state in flows.succs:
-            if target not in inv:
-                errors.append(
-                    f"block {start:#06x} flows to {target[1]:#06x} "
-                    f"(fn {target[0]:#06x}) which carries no invariant")
-            elif not state.leq(inv[target]):
-                errors.append(
-                    f"not inductive: out-state of block {start:#06x} "
-                    f"exceeds the invariant at {target[1]:#06x}")
-        for callee, state in flows.calls:
-            target = (callee, callee)
-            if target not in inv:
-                errors.append(
-                    f"call at block {start:#06x} reaches "
-                    f"{callee:#06x} which carries no invariant")
-            elif not state.leq(inv[target]):
-                errors.append(
-                    f"not inductive: call-entry state from block "
-                    f"{start:#06x} exceeds the invariant at "
-                    f"{callee:#06x}")
-    if errors:
-        return errors
-    # Re-derive the site fact from the invariants alone.
-    derived = SiteFact(kind=cert.kind)
-    for (fn, start), state in inv.items():
-        node = analysis.cfg.nodes[start]
-        if not (node.block.start <= cert.site < node.block.end):
-            continue
-        walk = state.copy()
-        for ins in node.block.instructions:
-            if ins.address == cert.site:
-                access, depth = _access_fact(walk, ins)
-                derived.absorb(access, depth)
-            transfer(walk, ins, analysis.flash)
-    if derived.visits == 0:
-        return [f"site {cert.site:#06x} is unreachable under the "
-                f"carried invariants (nothing to prove)"]
-    try:
-        claimed_access, claimed_depth = _parse_fact_obj(cert.fact)
-    except (KeyError, ValueError, TypeError, IndexError) as exc:
-        return [f"malformed site fact: {exc}"]
-    if claimed_access is not None and \
-            not leq_word(derived.access, claimed_access):
-        errors.append("derived access fact exceeds the one the "
-                      "certificate claims")
-    if claimed_depth is not None and \
-            not leq_depth(derived.depth, claimed_depth):
-        errors.append("derived depth fact exceeds the one the "
-                      "certificate claims")
-    checked = SiteFact(kind=cert.kind, access=claimed_access,
-                       depth=claimed_depth, visits=1)
-    result = _claim_for(checked, heap_high, MEMORY_SIZE)
-    if result is None or result[0] != cert.claim:
-        errors.append(
-            f"claim {cert.claim!r} does not follow from the site fact "
-            f"{cert.fact!r} at geometry {tuple(cert.geometry)}")
-    return errors
-
-
-# -- image-level integration ------------------------------------------------------
-
-def image_certificates(image) -> Dict[str, Dict[int, ElisionCertificate]]:
-    """Certificates for every task of *image*, keyed by task name then
-    naturalized site address.  Memoized on the image object (images are
-    immutable once linked)."""
-    cached = getattr(image, "_elision_certs", None)
-    if cached is not None:
-        return cached
-    certs: Dict[str, Dict[int, ElisionCertificate]] = {}
-    for task in image.tasks:
-        natural = task.natural
-        nat_by_original = {
-            site.original.address: nat_address
-            for nat_address, site in natural.sites.items()}
-        per_task: Dict[int, ElisionCertificate] = {}
-        for original, cert in \
-                program_certificates(natural.program).items():
-            nat_address = nat_by_original.get(original)
-            if nat_address is None:
-                continue
-            cert.nat_site = nat_address
-            per_task[nat_address] = cert
-        certs[task.name] = per_task
-    image._elision_certs = certs
-    return certs
-
-
-def validated_elisions(image, config) -> Dict[int, str]:
-    """``{naturalized site: claim}`` for every certificate that passes
-    the independent checker *and* matches the node's geometry — the
-    only table the JIT tiers may elide from."""
-    key = (config.ram_start, config.memory_size)
-    cache = getattr(image, "_validated_elisions", None)
-    if cache is None:
-        cache = image._validated_elisions = {}
-    if key in cache:
-        return cache[key]
-    table: Dict[int, str] = {}
-    for task in image.tasks:
-        heap_high = config.ram_start + task.heap_size
-        for nat_address, cert in \
-                image_certificates(image).get(task.name, {}).items():
-            if tuple(cert.geometry) != (config.ram_start, heap_high,
-                                        config.memory_size):
-                continue
-            site = task.natural.sites.get(nat_address)
-            if site is None or site.kind.name != cert.kind or \
-                    site.original.address != cert.site:
-                continue
-            if verify_certificate(task.natural.program, cert):
-                continue
-            table[nat_address] = cert.claim
-    cache[key] = table
-    return table
-
-
 def analyze_image(image) -> List[dict]:
-    """Per-task dataflow summary rows (the ``sensmart analyze`` data).
-
-    Counts patched sites, indirect-control resolution quality, and the
-    provably-safe (certificate-carrying) sites by claim.
-    """
+    """Per-task dataflow summary rows (the ``sensmart analyze`` data):
+    patched sites and indirect-control resolution quality."""
     rows: List[dict] = []
-    certs = image_certificates(image)
     for task in image.tasks:
         program = task.natural.program
         analysis = DataflowAnalysis(program.items, program.entry,
@@ -979,16 +574,11 @@ def analyze_image(image) -> List[dict]:
         narrowed = len(analysis.indirect_targets)
         resolved_after = len(set(analysis.cfg.unresolved_indirect)
                              - set(analysis.indirect_targets))
-        per_claim = {"heap": 0, "stack": 0, "pop": 0}
-        for cert in certs.get(task.name, {}).values():
-            per_claim[cert.claim] += 1
         rows.append({
             "program": task.name,
             "sites": len(task.natural.sites),
             "indirect_sites": indirect,
             "dataflow_narrowed": narrowed,
             "unresolved_indirect": resolved_after,
-            "certificates": dict(per_claim),
-            "certificates_total": sum(per_claim.values()),
         })
     return rows

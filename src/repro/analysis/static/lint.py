@@ -18,13 +18,7 @@ invariants the kernel's safety story rests on:
    ``[trap_lo, trap_hi)``;
 5. **skip alignment** — a conditional skip's shadow ends on an
    instruction boundary of the *naturalized* body (an inflated
-   successor is skipped whole, never re-entered mid-``JMP``);
-6. **certificate validity** — every :class:`ElisionCertificate` the
-   image carries is re-proved by the independent checker
-   (:func:`repro.analysis.static.dataflow.verify_certificate`), which
-   re-derives inductiveness, the site fact and the claim from the
-   image alone.  A site the JIT tiers would run guard-free must carry
-   a proof this checker accepts, or the link aborts.
+   successor is skipped whole, never re-entered mid-``JMP``).
 
 Violations carry the naturalized site address and the expected
 :class:`PatchKind`, so a corrupted image fails with a diagnostic that
@@ -81,8 +75,6 @@ class LintReport:
     shift_entries: int = 0
     instructions_scanned: int = 0
     trampolines: int = 0
-    certificates: int = 0
-    certificates_verified: int = 0
 
     @property
     def ok(self) -> bool:
@@ -107,8 +99,6 @@ class LintReport:
             f"  shift entries   : {self.shift_entries}",
             f"  instructions    : {self.instructions_scanned} scanned",
             f"  trampolines     : {self.trampolines} placed slots",
-            f"  certificates    : {self.certificates_verified}/"
-            f"{self.certificates} elision proofs verified",
         ]
         if self.ok:
             lines.append("  verdict         : OK — image is sound")
@@ -315,43 +305,6 @@ def _lint_task(task, pool, trap_region: Tuple[int, int],
                 f"inflated site")
 
 
-def _lint_certificates(image, report: LintReport) -> None:
-    """Check 6: re-prove every elision certificate the image carries.
-
-    The checker is deliberately independent of the engine that emitted
-    the certificates — it re-derives inductiveness and the claim from
-    the image words and the carried invariants alone, so a tampered
-    (or stale, or wrong-geometry) proof fails here and the finding
-    aborts the link before any guard-free code can run.
-    """
-    from .dataflow import image_certificates, verify_certificate
-    certs = image_certificates(image)
-    for task in image.tasks:
-        for nat_address in sorted(certs.get(task.name, {})):
-            cert = certs[task.name][nat_address]
-            report.certificates += 1
-            site = task.natural.sites.get(nat_address)
-            if site is None or site.kind.name != cert.kind or \
-                    site.original.address != cert.site:
-                report.findings.append(LintFinding(
-                    check="certificate", program=task.name,
-                    address=nat_address,
-                    kind=site.kind if site is not None else None,
-                    message=f"certificate for original site "
-                            f"{cert.site:#06x} ({cert.kind}) does not "
-                            f"match the recorded patch site"))
-                continue
-            errors = verify_certificate(task.natural.program, cert)
-            if errors:
-                for message in errors:
-                    report.findings.append(LintFinding(
-                        check="certificate", program=task.name,
-                        address=nat_address, kind=site.kind,
-                        message=message))
-                continue
-            report.certificates_verified += 1
-
-
 def lint_image(image, classify_fn=None) -> LintReport:
     """Lint every task of a linked :class:`TargetImage`."""
     classify_fn = classify_fn if classify_fn is not None else classify
@@ -361,7 +314,6 @@ def lint_image(image, classify_fn=None) -> LintReport:
         report.programs.append(task.name)
         _lint_task(task, image.pool, image.trap_region, report,
                    classify_fn)
-    _lint_certificates(image, report)
     return report
 
 

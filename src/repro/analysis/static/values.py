@@ -39,9 +39,6 @@ OFF_MIN, OFF_MAX = -WORD_MAX, WORD_MAX
 SPL_BYTE = "spl"
 SPH_BYTE = "sph"
 
-#: Serialized spelling of ⊤ (see ``to_obj``/``from_obj``).
-_TOP = "T"
-
 
 @dataclass(frozen=True)
 class Interval:
@@ -119,33 +116,6 @@ def join_bytes(a: ByteValue, b: ByteValue) -> ByteValue:
     if isinstance(a, str) or isinstance(b, str):
         return a if a == b else None
     return a.join(b)
-
-
-def leq_byte(a: ByteValue, b: ByteValue) -> bool:
-    """a ⊑ b."""
-    if b is None:
-        return True
-    if a is None:
-        return False
-    if isinstance(a, str) or isinstance(b, str):
-        return a == b
-    return b.contains(a)
-
-
-def leq_word(a: Optional[Word], b: Optional[Word]) -> bool:
-    if b is None:
-        return True
-    if a is None or a.base != b.base:
-        return False
-    return b.iv.contains(a.iv)
-
-
-def leq_depth(a: Optional[Interval], b: Optional[Interval]) -> bool:
-    if b is None:
-        return True
-    if a is None:
-        return False
-    return b.contains(a)
 
 
 class AbsState:
@@ -298,58 +268,3 @@ class AbsState:
         flags = {bit: v for bit, v in self.flags.items()
                  if new.flags.get(bit) == v}
         return AbsState(regs, pairs, depth, flags)
-
-    def leq(self, other: "AbsState") -> bool:
-        """self ⊑ other — every concrete state in self is in other."""
-        if not all(leq_byte(a, b) for a, b in zip(self.regs, other.regs)):
-            return False
-        for base in other.pairs:
-            if not leq_word(self.get_word(base), other.get_word(base)):
-                return False
-        if not leq_depth(self.depth, other.depth):
-            return False
-        return all(self.flags.get(bit) == v
-                   for bit, v in other.flags.items())
-
-    # -- serialization (certificates are plain JSON data) -----------------------
-
-    def to_obj(self) -> dict:
-        def byte_obj(value: ByteValue):
-            if value is None:
-                return _TOP
-            if isinstance(value, str):
-                return value
-            return [value.lo, value.hi]
-
-        return {
-            "r": [byte_obj(value) for value in self.regs],
-            "p": {str(base): [word.base, word.iv.lo, word.iv.hi]
-                  for base, word in sorted(self.pairs.items())},
-            "d": _TOP if self.depth is None
-            else [self.depth.lo, self.depth.hi],
-            "f": {str(bit): v for bit, v in sorted(self.flags.items())},
-        }
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> "AbsState":
-        def byte_val(value) -> ByteValue:
-            if value == _TOP:
-                return None
-            if isinstance(value, str):
-                if value not in (SPL_BYTE, SPH_BYTE):
-                    raise ValueError(f"bad byte marker {value!r}")
-                return value
-            return Interval(int(value[0]), int(value[1]))
-
-        regs = [byte_val(value) for value in obj["r"]]
-        if len(regs) != 32:
-            raise ValueError("state must carry 32 register facts")
-        pairs = {}
-        for base, (tag, lo, hi) in obj.get("p", {}).items():
-            if tag not in ("abs", "sp"):
-                raise ValueError(f"bad word base {tag!r}")
-            pairs[int(base)] = Word(tag, Interval(int(lo), int(hi)))
-        depth = None if obj.get("d") == _TOP \
-            else Interval(int(obj["d"][0]), int(obj["d"][1]))
-        flags = {int(bit): int(v) for bit, v in obj.get("f", {}).items()}
-        return cls(regs, pairs, depth, flags)

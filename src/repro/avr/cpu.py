@@ -98,10 +98,12 @@ def _flags_logic(res: int) -> int:
     return f
 
 
-#: Default member cap per trace block: bounds how far the exact-stop
-#: fallback (see :meth:`AvrCpu.run`) may have to single-step near a
-#: limit.  Per-CPU override via ``AvrCpu(max_block=...)`` /
-#: ``KernelConfig.max_block_members``.
+#: Member cap per trace block: bounds how far the exact-stop fallback
+#: (see :meth:`AvrCpu.run`) may have to single-step near a limit; 48
+#: covers every hot loop in the benchmark suite.  An AvrCpu reads it
+#: when constructed, so a test can set it.  It is in neither the shared
+#: cache's nor the trace store's key: a CPU built under another cap
+#: must use a private cache and no store.
 _MAX_BLOCK = 48
 
 
@@ -305,11 +307,10 @@ class AvrCpu(SimClock):
 
     def __init__(self, flash: Flash, memory: Optional[DataMemory] = None,
                  clock_hz: int = 7_372_800, fuse: bool = True,
-                 block_cache=None, max_block: int = _MAX_BLOCK):
+                 block_cache=None):
         """*block_cache*: ``None`` joins the process-wide
         :class:`SuperblockCache`, ``False`` disables cross-CPU trace
-        sharing, or pass an explicit cache instance.  *max_block* caps
-        the members fused per trace block."""
+        sharing, or pass an explicit cache instance."""
         SimClock.__init__(self)
         self.flash = flash
         self.mem = memory if memory is not None else DataMemory()
@@ -353,7 +354,7 @@ class AvrCpu(SimClock):
         else:
             self._block_cache = block_cache
         self._cache_base_key = None  # lazy (fingerprint, ...) tuple
-        self._max_block = max_block
+        self._max_block = _MAX_BLOCK
         #: Trace compiler (repro.avr.trace.TraceCompiler) serving
         #: _fuse_block; built on first use unless one was installed.
         self._tracer = None

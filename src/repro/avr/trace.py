@@ -1271,14 +1271,6 @@ class _Emitter:
             + post + ["n += 1"]
         lines = self._trap_prologue(node)
         lines += addr
-        if facts.elide == "heap":
-            # Certificate-validated: ta never leaves the logical heap,
-            # so the guard chain is dead — run the arm unguarded with
-            # identical effects, counters and charges.
-            return lines + arm_heap
-        if facts.elide == "stack":
-            # Certificate-validated: ta is always a live stack address.
-            return lines + [f"tp = ta + ({stack_disp})"] + arm_stack
         slow = self._slow_exit(facts)
         lines.append(f"if {rs} <= ta < {heap_high}:")
         lines += _ind(arm_heap)
@@ -1355,10 +1347,6 @@ class _Emitter:
                 f"cy += {charge}", f"kc += {charge}", "n += 1"]
         lines = self._trap_prologue(node)
         lines.append("tsp = cpu.sp + 1")
-        if facts.elide == "pop":
-            # Certificate-validated: depth >= 1, the POP cannot
-            # underflow at any region placement.
-            return lines + fast
         lines.append(f"if tsp < {region.p_u}:")
         lines += _ind(fast)
         lines.append("else:")

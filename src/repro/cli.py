@@ -9,7 +9,7 @@ Subcommands::
     sensmart rewrite FILE              # show a naturalized listing
     sensmart asm FILE                  # assemble + disassemble a file
     sensmart lint [FILE ...]           # soundness-lint + stack bounds
-    sensmart analyze [FILE ...]        # dataflow + elision certificates
+    sensmart analyze [FILE ...]        # dataflow: indirect-target resolution
     sensmart serve                     # content-addressed build service
     sensmart submit FILE [FILE ...]    # submit programs to a server
 """
@@ -307,18 +307,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             results.append({"label": label,
                             "analysis": analyze_report_dict(image)})
             continue
-        rows = []
-        for row in analyze_image(image):
-            certs = row["certificates"]
-            rows.append([row["program"], row["sites"],
-                         row["indirect_sites"],
-                         row["dataflow_narrowed"],
-                         row["unresolved_indirect"], certs["heap"],
-                         certs["stack"], certs["pop"],
-                         row["certificates_total"]])
+        rows = [[row["program"], row["sites"], row["indirect_sites"],
+                 row["dataflow_narrowed"], row["unresolved_indirect"]]
+                for row in analyze_image(image)]
         print(format_table(
-            ["program", "sites", "indirect", "narrowed", "unresolved",
-             "heap", "stack", "pop", "certified"],
+            ["program", "sites", "indirect", "narrowed", "unresolved"],
             rows, title=f"dataflow analysis: {label}"))
         print()
     if args.json:
@@ -587,13 +580,13 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--bounds", action="store_true",
                       help="print per-task static stack bounds")
     lint.add_argument("--json", action="store_true",
-                      help="emit the sensmart-lint/1 JSON report "
+                      help="emit the sensmart-lint/2 JSON report "
                            "instead of text")
     lint.set_defaults(func=_cmd_lint)
 
     analyze = sub.add_parser(
         "analyze", help="dataflow analysis: indirect-target "
-                        "resolution and elision certificates")
+                        "resolution")
     analyze.add_argument("files", nargs="*",
                          help="programs to link into one image and "
                               "analyze (default: the bundled "
@@ -602,7 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="also analyze every bundled workload "
                               "image")
     analyze.add_argument("--json", action="store_true",
-                         help="emit the sensmart-analyze/1 JSON "
+                         help="emit the sensmart-analyze/2 JSON "
                               "report instead of text")
     analyze.set_defaults(func=_cmd_analyze)
 

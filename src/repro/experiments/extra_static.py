@@ -212,10 +212,6 @@ class LintRow:
     sites_total: int
     sites_verified: int
     violations: int
-    #: Elision certificates the image carries / the independent
-    #: checker re-proved (see repro.analysis.static.dataflow).
-    certificates: int = 0
-    certificates_verified: int = 0
 
     @property
     def coverage(self) -> float:
@@ -278,10 +274,9 @@ class StaticResult:
                   "runtime peaks")
         lint = format_table(
             ["workload", "patch sites", "verified", "coverage",
-             "violations", "elision certs"],
+             "violations"],
             [[r.workload, r.sites_total, r.sites_verified,
-              f"{100 * r.coverage:.1f}%", r.violations,
-              f"{r.certificates_verified}/{r.certificates}"]
+              f"{100 * r.coverage:.1f}%", r.violations]
              for r in self.lint_rows],
             title="Rewriter soundness lint over the same images")
         unbounded = ", ".join(self.unbounded_tasks) or "none"
@@ -310,9 +305,7 @@ def compute_workload(workload: str,
     lint_row = LintRow(workload=workload,
                        sites_total=report.sites_total,
                        sites_verified=report.sites_verified,
-                       violations=len(report.findings),
-                       certificates=report.certificates,
-                       certificates_verified=report.certificates_verified)
+                       violations=len(report.findings))
 
     analyses = {task.name: analyze_program(task.natural.program)
                 for task in image.tasks}

@@ -70,20 +70,6 @@ class KernelConfig:
     #: the stepwise oracle.  Results are bit-identical.
     fuse: bool = True
 
-    #: Drop per-access bound guards at trap sites the dataflow engine
-    #: proved in-region (see repro.analysis.static.dataflow) — only at
-    #: sites whose ElisionCertificate the independent lint checker
-    #: re-validates at load time.  Counters, cycle charges and memory
-    #: effects are unchanged; results are bit-identical.  Off (the
-    #: default) keeps every guard.
-    elide: bool = False
-
-    #: Maximum fused instructions per trace block.
-    #: Larger blocks amortize more dispatch overhead per straight-line
-    #: run at the cost of compile time; 48 covers every hot loop in the
-    #: benchmark suite.
-    max_block_members: int = 48
-
     #: Directory for the persistent compiled-trace store; None disables
     #: persistence (the ``SENSMART_TRACE_STORE`` environment variable is
     #: the fallback when unset).
@@ -91,7 +77,8 @@ class KernelConfig:
 
     #: Run the rewriter-soundness linter (``sensmart lint``) over the
     #: image inside ``link_image`` when building a node, so every run is
-    #: self-verifying.  Costs well under a millisecond per image.
+    #: self-verifying.  Costs about 2 ms per six-program kernelbench
+    #: image and 10-14 ms per Fig-7 image (x86_64, Python 3.11).
     lint_on_link: bool = True
 
     #: Default restart policy for tasks that die abnormally (see

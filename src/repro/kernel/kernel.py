@@ -82,8 +82,7 @@ class SenSmartKernel:
         flash = Flash()
         image.burn(flash)
         self.cpu = AvrCpu(flash, clock_hz=self.config.clock_hz,
-                          fuse=self.config.fuse, block_cache=block_cache,
-                          max_block=self.config.max_block_members)
+                          fuse=self.config.fuse, block_cache=block_cache)
         for device in devices:
             self.cpu.attach_device(device)
         # The kernel claims its routing-table entries last, over any
@@ -104,14 +103,6 @@ class SenSmartKernel:
         self.regions = RegionTable(self.config)
         self.scheduler = RoundRobinScheduler(self.config)
         self.trampolines = image.trampolines_by_address
-        #: Naturalized site -> proven claim ("heap"/"stack"/"pop") the
-        #: JIT tiers may elide guards for.  Populated only under
-        #: ``config.elide`` and only from certificates the independent
-        #: lint checker re-validated against this node's geometry.
-        self.elisions: Dict[int, str] = {}
-        if self.config.elide:
-            from ..analysis.static.dataflow import validated_elisions
-            self.elisions = validated_elisions(image, self.config)
         self.handlers = TrapHandlers(self)
         self.cpu.set_trap_region(image.trap_region[0], image.trap_region[1],
                                  self.handlers.dispatch,

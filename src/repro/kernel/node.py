@@ -63,18 +63,13 @@ class SensorNode:
                      rewriter: Optional[Rewriter] = None,
                      adc_seed: int = 0xACE1,
                      fuse: Optional[bool] = None,
-                     elide: Optional[bool] = None,
-                     max_block_members: Optional[int] = None,
                      lint: Optional[bool] = None,
                      block_cache=None) -> "SensorNode":
         """Compile, rewrite and link *sources*, then boot a node.
 
         *fuse* overrides the config's tier switch: traces with
         specialized trap fast paths, or the stepwise oracle (execution
-        stays bit-identical either way; traces are fastest); *elide*
-        overrides certificate-driven guard elision at proven trap sites
-        (also bit-identical).
-        *max_block_members* overrides the fusion length cap.  *lint*
+        stays bit-identical either way; traces are fastest); *lint*
         overrides the config's ``lint_on_link`` self-check.
         *block_cache* forwards to the kernel's CPU (None = process-wide
         trace sharing, False = private compilation).
@@ -83,10 +78,6 @@ class SensorNode:
         overrides = {}
         if fuse is not None:
             overrides["fuse"] = fuse
-        if elide is not None:
-            overrides["elide"] = elide
-        if max_block_members is not None:
-            overrides["max_block_members"] = max_block_members
         if lint is not None:
             overrides["lint_on_link"] = lint
         if overrides:

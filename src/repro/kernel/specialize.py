@@ -110,30 +110,22 @@ class TraceFacts:
     region: object
     epoch: int
     config: object
-    #: Validated elision claim for the site ("heap"/"stack"/"pop"), or
-    #: None.  When set, the emitters drop the corresponding bound guard
-    #: (the certificate proves the fast arm is always taken); the claim
-    #: is part of ``spec_key`` so cached code never crosses settings.
-    elide: Optional[str] = None
 
 
 class _SiteStatics:
     """The facts of one patched site that hold for as long as the
-    kernel maps its target to the same trampoline: kind, params, the
-    validated elision claim, and every part of the site's ``spec_key``
-    except the owner's region constants."""
+    kernel maps its target to the same trampoline: kind, params, and
+    every part of the site's ``spec_key`` except the owner's region
+    constants."""
 
-    __slots__ = ("trampoline", "kind", "params", "claim", "needs_region",
-                 "_head", "_tail")
+    __slots__ = ("trampoline", "kind", "params", "needs_region", "_head")
 
-    def __init__(self, trampoline, claim: Optional[str], config):
+    def __init__(self, trampoline, config):
         self.trampoline = trampoline
         self.kind = trampoline.kind
         self.params = trampoline.params
-        self.claim = claim
         self.needs_region = self.kind is not PatchKind.BRANCH_BACKWARD
         self._head = (self.kind.name, self.params)
-        self._tail = () if claim is None else (("elide", claim),)
         if not self.needs_region:
             # Region-free: the key is fixed for the kernel's lifetime.
             self._head += (config.branch_trap_period,)
@@ -146,7 +138,7 @@ class _SiteStatics:
             return self._head
         if region_key is None:
             return None
-        return self._head + region_key + self._tail
+        return self._head + region_key
 
 
 class TrapSpecializer:
@@ -177,8 +169,7 @@ class TrapSpecializer:
                           kind=statics.kind, params=statics.params,
                           task=task,
                           region=region if statics.needs_region else None,
-                          epoch=task.region_epoch, config=self.kernel.config,
-                          elide=statics.claim)
+                          epoch=task.region_epoch, config=self.kernel.config)
 
     def trace_key(self, sites):
         """``(key, task, kinds)`` for a stored trace's chained *sites*
@@ -255,9 +246,7 @@ class TrapSpecializer:
             return statics
         if site < 0 or trampoline.kind not in _CHAINABLE:
             return None
-        statics = _SiteStatics(trampoline,
-                               self._claim(site, trampoline.kind),
-                               self.kernel.config)
+        statics = _SiteStatics(trampoline, self.kernel.config)
         self._statics[site] = statics
         return statics
 
@@ -271,18 +260,6 @@ class TrapSpecializer:
         return region, (task.region_epoch, region.p_l, region.p_h,
                         region.p_u, config.ram_start, config.memory_size,
                         config.stack_margin)
-
-    #: Which claim may elide which trampoline kind's guard.
-    _ELIDABLE = {PatchKind.MEM_INDIRECT: ("heap", "stack"),
-                 PatchKind.STACK_POP: ("pop",)}
-
-    def _claim(self, site: int, kind: "PatchKind") -> Optional[str]:
-        """The validated elision claim for *site*, when it matches the
-        trampoline *kind* (None = keep every guard)."""
-        claim = self.kernel.elisions.get(site)
-        if claim is not None and claim in self._ELIDABLE.get(kind, ()):
-            return claim
-        return None
 
     def _owner(self, site: int):
         """The alive task whose code holds *site*, or None.  A memo hit

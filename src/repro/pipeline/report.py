@@ -12,9 +12,9 @@ from __future__ import annotations
 from ..fingerprint import content_key
 
 #: Schema tags, versioned independently of the store formats.
-VERDICT_SCHEMA = "sensmart-verdict/1"
-LINT_SCHEMA = "sensmart-lint/1"
-ANALYZE_SCHEMA = "sensmart-analyze/1"
+VERDICT_SCHEMA = "sensmart-verdict/2"
+LINT_SCHEMA = "sensmart-lint/2"
+ANALYZE_SCHEMA = "sensmart-analyze/2"
 RUN_SCHEMA = "sensmart-run/1"
 SERVE_STATS_SCHEMA = "sensmart-serve-stats/1"
 FLEET_SCHEMA = "sensmart-fleet/1"
@@ -75,8 +75,6 @@ def lint_report_dict(report) -> dict:
         "shift_entries": report.shift_entries,
         "instructions_scanned": report.instructions_scanned,
         "trampolines": report.trampolines,
-        "certificates": report.certificates,
-        "certificates_verified": report.certificates_verified,
         "findings": [
             {"check": finding.check, "program": finding.program,
              "address": finding.address,
@@ -89,15 +87,12 @@ def lint_report_dict(report) -> dict:
 
 def analyze_report_dict(image) -> dict:
     """JSON form of the ``sensmart analyze`` dataflow summary: per-task
-    site counts, indirect-control resolution quality, and the
-    certificate-carrying (provably in-region) sites by claim."""
+    site counts and indirect-control resolution quality."""
     from ..analysis.static import analyze_image
     tasks = analyze_image(image)
     return {
         "tasks": tasks,
         "sites_total": sum(row["sites"] for row in tasks),
-        "certificates_total": sum(row["certificates_total"]
-                                  for row in tasks),
         "unresolved_indirect": sum(row["unresolved_indirect"]
                                    for row in tasks),
     }

@@ -200,6 +200,8 @@ class LintStage(Stage):
     """Soundness lint + static stack bounds over the linked image."""
 
     name = "lint"
+    #: Bumped whenever the fields of the lint report change.
+    version = 2
     persistent = True
 
     def run(self, pipeline, request, ctx):

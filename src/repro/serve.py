@@ -14,7 +14,7 @@ object; each response line answers it in order on that connection::
 
     {"id": 1, "programs": [{"name": "blink", "source": "..."}],
      "options": {"max_instructions": 2000000}}
-    -> {"id": 1, "ok": true, "verdict": {...sensmart-verdict/1...}}
+    -> {"id": 1, "ok": true, "verdict": {...sensmart-verdict/2...}}
 
     {"op": "stats"}     -> {"ok": true, "stats": {...}}
     {"op": "shutdown"}  -> {"ok": true, "stopping": true}

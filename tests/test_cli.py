@@ -220,7 +220,7 @@ def test_lint_json_report(blink_file, capsys):
     import json
     assert main(["lint", blink_file, "--json", "--bounds"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["schema"] == "sensmart-lint/1"
+    assert report["schema"] == "sensmart-lint/2"
     assert report["ok"] is True
     (target,) = report["targets"]
     assert target["label"] == "cli"

@@ -17,24 +17,26 @@ branch counter, one-block self-loops, ``rcall``/``ret`` and ``break``
 heads, stack and memory traffic, runs cut at the member cap) and checks
 the two modes against each other at every stop of an instruction-limit
 sweep, bare-metal and under the kernel.  The region-edge family does the
-same for pointer accesses on both sides of every heap and stack edge and
-for stacks that outgrow their region, so every trap guard and slow arm
-runs, traced with guard elision off and on.  The loop, poll and
-region-edge families trace every program twice: compiling each head on
-its first dispatch (``TIER_UP = 1``, full trace coverage) and tiering up
-after two or three stepwise dispatches, so a head compiles mid-loop at
-every stop of the sweep.
+same for pointer accesses on both sides of every heap and stack edge,
+for SP writes on both sides of the stack area's bounds and for stacks
+that outgrow their region, so every trap guard and slow arm runs.  The
+loop, poll and region-edge families trace every program twice:
+compiling each head on its first dispatch (``TIER_UP = 1``, full trace
+coverage) and tiering up after two or three stepwise dispatches, so a
+head compiles mid-loop at every stop of the sweep.
 """
 
 from __future__ import annotations
 
 import contextlib
 import signal
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.avr import AvrCpu, Flash, assemble, ioports, trace
+from repro.avr import (AvrCpu, Flash, assemble, cpu as avr_cpu, ioports,
+                       trace)
 from repro.avr.devices.radio import RXC
 from repro.baselines.native import run_native
 from repro.cc import compile_c_to_asm
@@ -346,7 +348,7 @@ def test_loop_family_matches_stepwise_at_every_stop(program, stride,
     def bare(fuse):
         flash = Flash()
         flash.load(0, image.words)
-        cpu = AvrCpu(flash, fuse=fuse, max_block=cap, block_cache=False)
+        cpu = AvrCpu(flash, fuse=fuse, block_cache=False)
         cpu.pc = image.entry
         return cpu
 
@@ -355,10 +357,11 @@ def test_loop_family_matches_stepwise_at_every_stop(program, stride,
         return SensorNode.from_sources(
             [("a", source), ("b", source)],
             config=KernelConfig(time_slice_cycles=3_000), fuse=fuse,
-            max_block_members=cap, block_cache=False)
+            block_cache=False)
 
-    _sweep(bare, _bare_state, stride, tier_up)
-    _sweep(kernel, _node_state, stride, tier_up)
+    with mock.patch.object(avr_cpu, "_MAX_BLOCK", cap):
+        _sweep(bare, _bare_state, stride, tier_up)
+        _sweep(kernel, _node_state, stride, tier_up)
 
 
 # -- poll-loop family: idle-loop fast-forward against the stepwise oracle --------
@@ -530,21 +533,35 @@ _EDGE_STACK = 96
 
 _EDGE_FORMS = ("X", "X+", "-X", "Y+q")
 
+#: The three ways to write SPL then SPH from r16/r17 (the forms
+#: ``test_sp_forgery_is_rejected`` pins).
+_SP_WRITES = {
+    "out": ["out 0x3D, r16", "out 0x3E, r17"],
+    "sts": ["sts 0x5D, r16", "sts 0x5E, r17"],
+    "st_x": ["ldi r26, 0x5D", "ldi r27, 0", "st X+, r16", "st X, r17"],
+}
+
 
 @st.composite
 def _edge_op(draw):
     """One step of a region-edge task: an indirect access at -1, 0 or
-    +1 of a region edge; a push loop or an ``rcall`` recursion *depth*
-    deep (a frame is a pushed byte plus a return address); or a ``pop``
-    of an empty stack."""
+    +1 of a region edge; an SP write at -1, 0 or +1 of the lowest or
+    highest SP the stack area allows, then a push loop; a push loop or
+    an ``rcall`` recursion *depth* deep (a frame is a pushed byte plus a
+    return address); or a ``pop`` of an empty stack."""
     kind = draw(st.sampled_from(["access"] * 4 + ["push", "call"] * 2
-                                + ["pop"]))
+                                + ["pop", "sp"]))
     if kind == "push":  # the floor is 92 bytes down
         return ("push", draw(st.integers(60, 140)))
     if kind == "call":
         return ("call", draw(st.integers(20, 48)))
     if kind == "pop":
         return ("pop",)
+    if kind == "sp":
+        return ("sp", draw(st.sampled_from(["sp_lo", "sp_hi"])),
+                draw(st.integers(-1, 1)),
+                draw(st.sampled_from(sorted(_SP_WRITES))),
+                draw(st.integers(1, 8)))
     form = draw(st.sampled_from(_EDGE_FORMS))
     return ("access",
             draw(st.sampled_from(["heap_lo", "heap_hi", "stack_lo",
@@ -555,6 +572,17 @@ def _edge_op(draw):
 
 def _edge_heap(tasks: int) -> int:
     return len(KernelConfig().app_area) // tasks - _EDGE_STACK
+
+
+def _sp_in_stack_area(node) -> bool:
+    """The running task's SP is one the kernel's SP check accepts.  Both
+    tiers run the same SP-write handler, so agreeing with the oracle
+    cannot show that check went missing; this can."""
+    task = node.kernel.current
+    if task is None or not task.alive:
+        return True
+    region = node.kernel.regions.by_task(task.task_id)
+    return region.p_h - 1 <= node.cpu.sp <= region.p_u - 1
 
 
 @contextlib.contextmanager
@@ -578,12 +606,14 @@ def _edge_source(ops, heap: int) -> str:
     """Render *ops* for a task with a *heap*-byte heap and an
     ``_EDGE_STACK``-byte stack.  The edges are logical addresses: the
     first heap byte, one past the heap, the lowest stack byte and one
-    past the top of the stack."""
+    past the top of the stack; an SP may lie one below the lowest stack
+    byte (a full stack) up to one below the top (an empty one)."""
     config = KernelConfig()
     top = config.memory_size
     edges = {"heap_lo": config.ram_start,
              "heap_hi": config.ram_start + heap,
-             "stack_lo": top - _EDGE_STACK, "stack_hi": top}
+             "stack_lo": top - _EDGE_STACK, "stack_hi": top,
+             "sp_lo": top - _EDGE_STACK - 1, "sp_hi": top - 1}
     lines = [f"ldi r{reg}, {0x11 * (reg - 15)}" for reg in range(16, 24)]
     helpers = []
     for index, op in enumerate(ops):
@@ -599,6 +629,13 @@ def _edge_source(ops, heap: int) -> str:
                         f"up{index}:", "pop r17", "ret"]
         elif op[0] == "pop":
             lines.append("pop r17")
+        elif op[0] == "sp":
+            _, edge, offset, form, pushes = op
+            sp = edges[edge] + offset
+            lines += [f"ldi r16, {sp & 0xFF}", f"ldi r17, {sp >> 8}",
+                      *_SP_WRITES[form], f"ldi r24, {pushes}",
+                      f"forge{index}:", "push r16", "dec r24",
+                      f"brne forge{index}"]
         else:
             _, edge, offset, form, store, reg, q = op
             address = edges[edge] + offset
@@ -625,7 +662,9 @@ def _edge_source(ops, heap: int) -> str:
 # the stack floor (a pc picked for the neighbouring exit; the push slow
 # arm's dispatch dropped, which re-enters the push site forever), and
 # two push loops beside an underflowing task (a spent branch counter
-# stored instead of entering the scheduler).
+# stored instead of entering the scheduler).  Then one per SP-write
+# form, with the SP check dropped on that form's path: an SP one past
+# the lowest or highest one the stack area allows.
 @given(st.lists(_edge_op(), min_size=1, max_size=5),
        st.none() | st.lists(_edge_op(), min_size=1, max_size=5),
        st.sampled_from([7, 13, 31]), _TIER_UPS)
@@ -634,31 +673,40 @@ def _edge_source(ops, heap: int) -> str:
 @example(first=[("push", 93)], second=None, stride=7, tier_up=2)
 @example(first=[("pop",)], second=[("push", 60), ("push", 68)], stride=7,
          tier_up=2)
+@example(first=[("sp", "sp_lo", -1, "out", 1)], second=None, stride=7,
+         tier_up=2)
+@example(first=[("sp", "sp_hi", 1, "sts", 1)], second=None, stride=7,
+         tier_up=2)
+@example(first=[("sp", "sp_lo", -1, "st_x", 1)], second=None, stride=7,
+         tier_up=2)
 def test_region_edge_family_matches_stepwise_at_every_stop(first, second,
                                                            stride, tier_up):
     """Pointer accesses on both sides of every heap and stack edge
-    (fast arms, guards, slow arms that fault the task), stacks that
-    outgrow their region (push and call slow arms that relocate it, or
-    kill the task when no donor is left) and an underflowing ``pop``,
-    in one or two tasks: traced with guard elision off and on, the node
-    stops on the stepwise state at every stop of an instruction sweep."""
+    (fast arms, guards, slow arms that fault the task), SP writes
+    through OUT, STS and ``st X`` on both sides of the stack area's
+    bounds, stacks that outgrow their region (push and call slow arms
+    that relocate it, or kill the task when no donor is left) and an
+    underflowing ``pop``, in one or two tasks: traced, the node stops on
+    the stepwise state at every stop of an instruction sweep, and the
+    running task's SP stays inside its stack area."""
     programs = [first] + ([second] if second else [])
     heap = _edge_heap(len(programs))
     sources = [(f"t{index}", _edge_source(ops, heap))
                for index, ops in enumerate(programs)]
 
-    def make(fuse, elide=False):
+    def make(fuse):
         return SensorNode.from_sources(
             sources, config=KernelConfig(time_slice_cycles=3_000),
-            fuse=fuse, elide=elide, block_cache=False)
+            fuse=fuse, block_cache=False)
 
     stepwise = make(False)
     assert {region.stack_size for region in stepwise.kernel.regions
             .regions} == {_EDGE_STACK}
-    traced = [*_traced(make, tier_up), *_traced(make, tier_up, elide=True)]
+    traced = _traced(make, tier_up)
     with _watchdog(60):
         for stop in _loop_stops(stride):
             stepwise.run(max_instructions=stop)
+            assert _sp_in_stack_area(stepwise), stop
             for threshold, node in traced:
                 with _tier_up(threshold):
                     node.run(max_instructions=stop)

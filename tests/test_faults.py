@@ -45,13 +45,12 @@ def _digest(node):
 @pytest.mark.parametrize("workload", [
     pytest.param("table1", marks=pytest.mark.tier_up_at_once),
     "table2", "kernelbench"])
-@pytest.mark.parametrize("fuse,elide",
-                         [(True, True), (True, False), (False, False)])
-def test_null_plan_is_bit_identical(workload, fuse, elide):
+@pytest.mark.parametrize("fuse", [True, False])
+def test_null_plan_is_bit_identical(workload, fuse):
     sources = _workload_sources(workload, quick=True)
 
     def run(attach):
-        node = SensorNode.from_sources(sources, fuse=fuse, elide=elide,
+        node = SensorNode.from_sources(sources, fuse=fuse,
                                        block_cache=False)
         if attach:
             plan = FaultPlan(seed=0xDEAD, horizon_cycles=10_000_000)

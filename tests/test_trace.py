@@ -35,7 +35,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.static import ALL_FLAGS, sreg_effects
-from repro.avr import ioports, trace
+from repro.avr import cpu as avr_cpu, ioports, trace
 from repro.avr.cpu import SuperblockCache
 from repro.experiments.extra_static import _workload_sources
 from repro.faults import FaultInjector, FaultPlan
@@ -128,10 +128,11 @@ def test_traced_matches_every_other_tier(workload):
     assert _digest(traced) == _digest(run(fuse=False))
 
 
-def test_fusion_cap_override_reaches_cpu_and_preserves_state():
+def test_fusion_cap_override_reaches_cpu_and_preserves_state(monkeypatch):
     wide = _boot([("spin", _SPIN_STACK)])
-    assert wide.cpu._max_block == KernelConfig().max_block_members
-    narrow = _boot([("spin", _SPIN_STACK)], max_block_members=3)
+    assert wide.cpu._max_block == avr_cpu._MAX_BLOCK
+    monkeypatch.setattr(avr_cpu, "_MAX_BLOCK", 3)
+    narrow = _boot([("spin", _SPIN_STACK)])
     assert narrow.cpu._max_block == 3
     for node in (wide, narrow):
         node.run(max_instructions=5_000_000)
@@ -584,9 +585,9 @@ def test_every_exit_breaks_to_one_write_back(monkeypatch):
         return text
 
     monkeypatch.setattr(trace._Emitter, "source", capture)
+    monkeypatch.setattr(avr_cpu, "_MAX_BLOCK", 8)
     node = _boot([("shapes", _EXIT_SHAPES), ("spin", _SPIN_FOREVER),
-                  ("empty", _POP_EMPTY)],
-                 max_block_members=8)
+                  ("empty", _POP_EMPTY)])
     node.run(max_instructions=400_000)
     assert node.task_named("shapes").exit_reason == "exit"
     assert node.task_named("empty").exit_reason.startswith("fault")

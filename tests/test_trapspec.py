@@ -123,9 +123,8 @@ loop:
 """
 
 
-@pytest.mark.parametrize("elide", [True, False])
 def test_equal_fingerprints_with_different_trampolines_never_share(
-        elide, monkeypatch):
+        monkeypatch):
     """``push r16`` and ``push r17`` naturalize to the same JMP into the
     BREAK-filled trap region, so both images burn one flash fingerprint;
     only the trampoline params differ.  The second image on a shared
@@ -146,12 +145,10 @@ def test_equal_fingerprints_with_different_trampolines_never_share(
     for register in ("r16", "r17"):
         sources = [("pusher", _PUSHER.format(register=register))]
         rebound.clear()
-        shared = SensorNode.from_sources(sources, elide=elide,
-                                         block_cache=cache)
+        shared = SensorNode.from_sources(sources, block_cache=cache)
         fingerprints.append(shared.cpu.flash.fingerprint())
         shared.run(max_instructions=1_000_000)
-        private = SensorNode.from_sources(sources, elide=elide,
-                                          block_cache=False)
+        private = SensorNode.from_sources(sources, block_cache=False)
         private.run(max_instructions=1_000_000)
         assert shared.finished
         assert shared.kernel.tracer.stats.compiled > 0
