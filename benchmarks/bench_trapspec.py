@@ -1,4 +1,4 @@
-"""Trap-heavy workloads shared by the trace, serve and dataflow benches.
+"""Trap-heavy workloads shared by the trace and serve benches.
 
 * ``TRAP_LOOP`` — the SPIN loop of two nested counters.  Every second
   retired instruction is a rewritten backward branch, so the run is one

@@ -25,13 +25,13 @@ equivalent of shipping an image for this codebase.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from ..avr import ioports
 from ..errors import KernelError
 from ..fingerprint import content_key
-from ..kernel import KernelConfig, SensorNode
+from ..kernel import SensorNode
 from ..net.network import Network
 from .attacks import DEFAULT_SEED, _IO_ROUTINES, attacker_src
 

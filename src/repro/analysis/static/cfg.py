@@ -2,16 +2,22 @@
 
 Builds on the rewriter's basic blocks (:mod:`repro.rewriter.blocks`) but
 adds the edges the rewriter never needed: branch targets, fall-throughs,
-skip shadows, call edges, and a conservative resolution of indirect
-control flow.  ``IJMP``/``ICALL`` targets are resolved from
+skip shadows, call edges, and a one-pass, heuristic resolution of
+indirect control flow.  ``IJMP``/``ICALL`` targets are resolved from
 
-1. a block-local ``LDI r30/r31`` constant pair reaching the site, else
-2. the dataflow engine (:mod:`.dataflow`): the interprocedural Z fact
-   at the site, when it narrows to a small set of code addresses, else
-3. the program-wide *address pool*: every ``LDI`` lo8/hi8 pair loading
+1. a block-local ``LDI r30/r31`` constant pair reaching the site (no
+   instruction between it and the site writes Z, by
+   :func:`~repro.avr.isa.written_registers`), else
+2. the program-wide *address pool*: every ``LDI`` lo8/hi8 pair loading
    the Z registers anywhere, plus every ``.dw`` data word whose value is
    an instruction address (function-pointer tables), else
-4. every label in the symbol list (fully conservative fallback).
+3. every label in the symbol list (the site is then reported in
+   :attr:`ControlFlowGraph.unresolved_indirect`).
+
+The pool assumes that indirect targets are ``LDI``-loaded Z constants
+or ``.dw`` words: arithmetic on Z (a computed jump into the middle of a
+routine) is outside the model, and its real target may be missing from
+the candidate set.
 
 The pool / label fallbacks additionally drop *data-only* labels —
 ``.dw`` table entries never named by direct control flow — at sites
@@ -31,12 +37,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ...avr.instruction import DataWord, Instruction
-from ...avr.isa import Kind
+from ...avr.isa import Kind, written_registers
 from ...rewriter.blocks import BasicBlock, build_blocks
-
-#: Mnemonics that never fall through to the next instruction.
-_NO_FALLTHROUGH = frozenset({"RJMP", "JMP", "IJMP", "RET", "RETI", "BREAK"})
-
 
 @dataclass
 class CfgNode:
@@ -77,19 +79,6 @@ class ControlFlowGraph:
                 return node
         return None
 
-    def reachable_blocks(self, start: int) -> Set[int]:
-        """Block starts reachable from *start* along successor edges
-        (call edges are stepped over, not entered)."""
-        seen: Set[int] = set()
-        work = [start]
-        while work:
-            current = work.pop()
-            if current in seen or current not in self.nodes:
-                continue
-            seen.add(current)
-            work.extend(self.nodes[current].successors)
-        return seen
-
     def function_entries(self) -> Set[int]:
         """The program entry plus every (direct or resolved indirect)
         call target."""
@@ -97,13 +86,6 @@ class ControlFlowGraph:
         for node in self.nodes.values():
             entries.update(callee for _, callee in node.calls)
         return entries
-
-    def call_edges(self, entry: int) -> List[Tuple[int, int]]:
-        """(site, callee) pairs inside the function rooted at *entry*."""
-        edges: List[Tuple[int, int]] = []
-        for start in sorted(self.reachable_blocks(entry)):
-            edges.extend(self.nodes[start].calls)
-        return edges
 
 
 def _split_blocks(blocks: List[BasicBlock],
@@ -147,66 +129,27 @@ def _address_pool(items: Sequence, addresses: Set[int]) -> Set[int]:
     return pool
 
 
-def _local_z_values(block: BasicBlock) -> Dict[int, Optional[int]]:
-    """Map each instruction address in *block* to the statically known
-    Z value reaching it, when an LDI pair fully determines it."""
-    from ...rewriter.grouping import _writes_register
-    known: Dict[int, Optional[int]] = {}
+def _local_z_value(block: BasicBlock) -> Optional[int]:
+    """The Z value reaching *block*'s last instruction, when an LDI pair
+    in the block fully determines it and nothing after it writes Z."""
     lo: Optional[int] = None
     hi: Optional[int] = None
-    for instruction in block.instructions:
-        value = lo | (hi << 8) if lo is not None and hi is not None \
-            else None
-        known[instruction.address] = value
+    for instruction in block.instructions[:-1]:
         if instruction.mnemonic == "LDI" and \
                 instruction.operands[0] in (30, 31):
             if instruction.operands[0] == 30:
                 lo = instruction.operands[1]
             else:
                 hi = instruction.operands[1]
-        elif _writes_register(instruction, 30):
+        elif {30, 31}.intersection(written_registers(instruction)):
             lo = hi = None
-    return known
+    return lo | (hi << 8) if lo is not None and hi is not None else None
 
 
 def build_cfg(items: Sequence, entry: int,
-              labels: Optional[Dict[str, int]] = None,
-              dataflow: bool = True) -> ControlFlowGraph:
-    """Build the CFG for an item list (compiled or naturalized).
-
-    With ``dataflow=True`` (the default) and at least one indirect site
-    that the block-local heuristic left ambiguous, the abstract
-    interpreter runs once and its narrowed target sets replace the
-    pool / all-labels candidates wherever they are strictly better.
-    """
+              labels: Optional[Dict[str, int]] = None) -> ControlFlowGraph:
+    """Build the CFG for an item list (compiled or naturalized)."""
     labels = labels or {}
-    cfg = _build(items, entry, labels, {})
-    if not dataflow or not _has_ambiguous_indirect(cfg):
-        return cfg
-    from .dataflow import resolve_indirect_targets
-    narrowed = resolve_indirect_targets(items, entry, labels)
-    if not narrowed:
-        return cfg
-    return _build(items, entry, labels, narrowed)
-
-
-def _has_ambiguous_indirect(cfg: ControlFlowGraph) -> bool:
-    for node in cfg.nodes.values():
-        if node.indirect_site is None:
-            continue
-        if node.indirect_site in cfg.unresolved_indirect:
-            return True
-        last = node.block.instructions[-1]
-        count = len(node.calls) if last.mnemonic == "ICALL" \
-            else len(node.successors)
-        if count > 1:
-            return True
-    return False
-
-
-def _build(items: Sequence, entry: int, labels: Dict[str, int],
-           indirect_targets: Dict[int, Tuple[int, ...]]) \
-        -> ControlFlowGraph:
     instructions = [item for item in items if isinstance(item, Instruction)]
     by_address = {ins.address: ins for ins in instructions}
     addresses = set(by_address)
@@ -241,12 +184,9 @@ def _build(items: Sequence, entry: int, labels: Dict[str, int],
     icall_splits = {ins.next_address for ins in instructions
                     if ins.mnemonic == "ICALL"
                     and ins.next_address in addresses}
-    narrowed_leaders = {target for targets in indirect_targets.values()
-                        for target in targets if target in addresses}
     starts = {block.start for block in blocks}
     blocks = _split_blocks(
-        blocks, (skip_targets | pool | all_labels | icall_splits |
-                 narrowed_leaders) - starts)
+        blocks, (skip_targets | pool | all_labels | icall_splits) - starts)
 
     cfg = ControlFlowGraph(entry=entry, labels=dict(labels))
     for block in blocks:
@@ -281,12 +221,9 @@ def _build(items: Sequence, entry: int, labels: Dict[str, int],
                 successors.append(fallthrough)
         elif mnemonic in ("IJMP", "ICALL"):
             node.indirect_site = last.address
-            local = _local_z_values(block).get(last.address)
-            narrowed = indirect_targets.get(last.address)
+            local = _local_z_value(block)
             if local is not None and local in addresses:
                 candidates: Set[int] = {local}
-            elif narrowed:
-                candidates = set(narrowed)
             else:
                 if pool:
                     candidates = set(pool)

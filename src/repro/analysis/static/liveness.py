@@ -1,31 +1,20 @@
-"""SREG liveness over the basic-block CFG.
+"""SREG read/write effects per instruction, for flag liveness.
 
-A classic backward dataflow pass, specialized to the eight AVR status
-flags: for every basic block, which SREG bits may still be read before
-being overwritten (*live-out*), and which bits the block itself needs on
-entry (*live-in*).
-
-Two consumers:
-
-* the trace compiler (:mod:`repro.avr.trace`) uses the per-mnemonic
-  read/write masks — :func:`sreg_effects` — plus its own tiny fixpoint
-  over the handful of blocks in a trace to elide flag computation that
-  no successor inside the trace (and no trace exit) can observe;
-* static analysis / tests use :func:`sreg_liveness` over a whole
-  program's :class:`~.cfg.ControlFlowGraph`, e.g. to report how much of
-  a workload's flag traffic is dead.
+:func:`sreg_effects` gives the eight AVR status flags an instruction
+reads and writes.  Its one consumer is the trace compiler
+(:mod:`repro.avr.trace`): a backward pass over the handful of blocks in
+a trace (``_Emitter._decide``) uses these masks to elide flag
+computation that no successor inside the trace (and no trace exit) can
+observe.
 
 Everything unknown is conservative: an unrecognized mnemonic *reads*
-all eight flags and writes none, calls and external/indirect edges leak
-all flags, so a bit reported dead is provably dead.
+all eight flags and writes none, and calls and returns read all flags,
+so liveness computed from these masks can only over-approximate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Tuple
-
-from .cfg import CfgNode, ControlFlowGraph
 
 # SREG flag masks, identical to repro.avr.cpu's.
 C, Z, N, V, S, H, T, I = (1 << b for b in range(8))
@@ -89,73 +78,3 @@ def sreg_effects(mnemonic: str, operands: Tuple = ()) -> Tuple[int, int]:
     if effects is None:
         return ALL_FLAGS, 0
     return effects
-
-
-def block_transfer(node: CfgNode, live_out: int) -> int:
-    """Live-in bits of *node* given its *live_out* bits: one backward
-    walk applying ``live = (live & ~writes) | reads`` per instruction."""
-    live = live_out
-    for instruction in reversed(node.block.instructions):
-        reads, writes = sreg_effects(instruction.mnemonic,
-                                     instruction.operands)
-        live = (live & ~writes) | reads
-    return live
-
-
-@dataclass
-class SregLiveness:
-    """Per-block SREG liveness of one program."""
-
-    live_in: Dict[int, int] = field(default_factory=dict)
-    live_out: Dict[int, int] = field(default_factory=dict)
-
-    def dead_writes(self, cfg: ControlFlowGraph) -> Dict[int, int]:
-        """Per-block mask of flag bits the block architecturally writes
-        but nothing downstream can read (upper bound on elision)."""
-        dead: Dict[int, int] = {}
-        for start, node in cfg.nodes.items():
-            written = 0
-            for instruction in node.block.instructions:
-                _, writes = sreg_effects(instruction.mnemonic,
-                                         instruction.operands)
-                written |= writes
-            dead[start] = written & ~self.live_out[start] \
-                & ~block_transfer(node, 0)
-        return dead
-
-
-def sreg_liveness(cfg: ControlFlowGraph,
-                  exit_live: int = ALL_FLAGS) -> SregLiveness:
-    """Per-block SREG live-in/live-out fixpoint over *cfg*.
-
-    *exit_live* is the mask assumed live at every edge leaving the
-    analyzed program (RET/BREAK/external/indirect targets); the default
-    assumes the outside world may read everything.
-    """
-    result = SregLiveness()
-    nodes = cfg.nodes
-    for start in nodes:
-        result.live_in[start] = 0
-        result.live_out[start] = 0
-    changed = True
-    while changed:
-        changed = False
-        for start, node in nodes.items():
-            out = 0
-            last = node.block.instructions[-1].mnemonic
-            if node.external or node.indirect_site is not None or \
-                    node.calls or last in ("RET", "RETI", "BREAK",
-                                           "SLEEP"):
-                out = exit_live
-            for successor in node.successors:
-                if successor in nodes:
-                    out |= result.live_in[successor]
-                else:
-                    out = exit_live
-            new_in = block_transfer(node, out)
-            if out != result.live_out[start] or \
-                    new_in != result.live_in[start]:
-                result.live_out[start] = out
-                result.live_in[start] = new_in
-                changed = True
-    return result

@@ -80,11 +80,12 @@ class StackAnalysis:
             rows.append([summary.name, f"{entry:#06x}",
                          summary.local_peak, bound,
                          "yes" if summary.recursive else "no"])
-        return format_table(
+        table = format_table(
             ["function", "entry", "local peak", "bound", "recursive"],
             rows,
             title=f"static stack bounds for {self.name!r}: "
                   f"{self.describe_bound()} bytes")
+        return "\n".join([table, *self.diagnostics])
 
 
 def _function_name(entry: int, labels: Dict[str, int]) -> str:

@@ -34,7 +34,7 @@ and ``TST/CLR/LSL/ROL``, branch aliases (``BREQ`` ...) and SREG aliases
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..errors import AssemblerError

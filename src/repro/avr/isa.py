@@ -193,6 +193,33 @@ PTR_BASE = {"X": REG_X, "X+": REG_X, "-X": REG_X,
             "Z+": REG_Z, "-Z": REG_Z,
             "Y": REG_Y, "Z": REG_Z}
 
+
+def written_registers(ins) -> Tuple[int, ...]:
+    """Registers *ins* may write (the syntactic clobber set), including
+    the pointer pair a ``+``/``-`` mode or ``LPM …, Z+`` moves."""
+    mnemonic, ops = ins.mnemonic, ins.operands
+    fmt = ins.opspec.fmt
+    if fmt is Format.R2:
+        return () if mnemonic in ("CP", "CPC", "CPSE") else (ops[0],)
+    if fmt is Format.MUL:
+        return (0, 1)
+    if fmt in (Format.MOVW, Format.ADIW):
+        return (ops[0], ops[0] + 1)
+    if fmt is Format.RD:
+        return (ops[0],)
+    if fmt is Format.IMM8:
+        return () if mnemonic == "CPI" else (ops[0],)
+    if fmt is Format.LDST_PTR:
+        base = PTR_BASE[ops[1]]
+        regs = (base, base + 1) if ops[1] != ops[1].strip("+-") else ()
+        return regs + ((ops[0],) if mnemonic == "LD" else ())
+    if fmt is Format.LPM:
+        return (ops[0],) + ((REG_Z, REG_Z + 1) if ops[1] == "Z+" else ())
+    if mnemonic in ("LDD", "LDS", "POP", "IN", "BLD"):
+        return (ops[0],)
+    return ()
+
+
 #: Branch aliases: mnemonic -> (base mnemonic, SREG bit).
 #: ``BRBS s,k`` branches when SREG bit *s* is set, ``BRBC`` when clear.
 BRANCH_ALIASES = {

@@ -76,7 +76,6 @@ import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..analysis.static.dataflow import _written_regs
 from ..analysis.static.liveness import sreg_effects
 from ..fingerprint import content_key
 from ..errors import InvalidInstruction, MemoryFault
@@ -84,6 +83,7 @@ from . import ioports
 from .cpu import (_ASR_TABLE, _DEC_TABLE, _INC_TABLE, _LOGIC_TABLE,
                   _LSR_TABLE, _NEG_TABLE, _ROR_TABLES, _CachedBlock,
                   _add_table, _sub_row, _sub_table)
+from .isa import written_registers
 
 #: Maximum chained blocks per trace (bounds compile time and the code
 #: size of the generated closure; loops longer than this still trace —
@@ -844,7 +844,7 @@ class _Emitter:
             for member in node.members:
                 if member.ins.mnemonic == "STS":
                     return None
-                regs.update(_written_regs(member.ins))
+                regs.update(written_registers(member.ins))
             if node.strip:
                 return None
             if node.facts is None:

@@ -19,7 +19,7 @@ flash wear, which is the point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..avr import ioports
 from ..avr.cpu import AvrCpu

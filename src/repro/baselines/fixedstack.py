@@ -21,7 +21,7 @@ enforce slices from the runner, standing in for the timer interrupt).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ..avr import ioports
 from ..avr.cpu import AvrCpu

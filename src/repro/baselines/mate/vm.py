@@ -8,7 +8,7 @@ work hides the overhead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from ...errors import SimulationError

@@ -26,7 +26,7 @@ Unsupported on purpose: pointers, nested arrays.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..avr import ioports
 from .astnodes import (Assign, Binary, Break, Call, Continue, Declare,

@@ -5,11 +5,13 @@ Subcommands::
     sensmart exp [table1|table2|fig4|fig5|fig6|fig7|fig8|all] [--quick]
     sensmart chaos [--seed S] [--quick]  # fault-injection campaign
     sensmart attack [--family F] [--quick]  # adversarial campaigns
+    sensmart fleet [--shards N] [--quick]  # sharded multi-node fleet
     sensmart run FILE [FILE ...]       # run programs under SenSmart
     sensmart rewrite FILE              # show a naturalized listing
     sensmart asm FILE                  # assemble + disassemble a file
     sensmart lint [FILE ...]           # soundness-lint + stack bounds
-    sensmart analyze [FILE ...]        # dataflow: indirect-target resolution
+    sensmart profile FILE              # flat profile + trap histogram
+    sensmart trace FILE                # first N executed instructions
     sensmart serve                     # content-addressed build service
     sensmart submit FILE [FILE ...]    # submit programs to a server
 """
@@ -23,7 +25,6 @@ from pathlib import Path
 
 from .analysis.profile import flat_profile, trap_histogram
 from .avr.disassembler import disassemble
-from .baselines.native import run_native
 from .cc import compile_c_to_asm
 from .experiments.runner import experiment_functions, run_suite
 from .kernel import SensorNode
@@ -282,44 +283,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
                           "targets": results},
                          indent=2, sort_keys=True))
     return 1 if failures else 0
-
-
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    from .analysis.report import format_table
-    from .analysis.static import analyze_image
-    from .experiments.extra_static import WORKLOAD_NAMES, \
-        _workload_sources
-
-    targets = []
-    if args.files:
-        sources = [(Path(f).stem, _read_program(Path(f)))
-                   for f in args.files]
-        targets.append(("cli", sources))
-    if args.workloads or not args.files:
-        targets.extend((name, _workload_sources(name, quick=True))
-                       for name in WORKLOAD_NAMES)
-
-    results = []
-    for label, sources in targets:
-        image = link_image(sources)
-        if args.json:
-            from .pipeline.report import analyze_report_dict
-            results.append({"label": label,
-                            "analysis": analyze_report_dict(image)})
-            continue
-        rows = [[row["program"], row["sites"], row["indirect_sites"],
-                 row["dataflow_narrowed"], row["unresolved_indirect"]]
-                for row in analyze_image(image)]
-        print(format_table(
-            ["program", "sites", "indirect", "narrowed", "unresolved"],
-            rows, title=f"dataflow analysis: {label}"))
-        print()
-    if args.json:
-        from .pipeline.report import ANALYZE_SCHEMA
-        print(json.dumps({"schema": ANALYZE_SCHEMA,
-                          "targets": results},
-                         indent=2, sort_keys=True))
-    return 0
 
 
 def _cmd_asm(args: argparse.Namespace) -> int:
@@ -583,21 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="emit the sensmart-lint/2 JSON report "
                            "instead of text")
     lint.set_defaults(func=_cmd_lint)
-
-    analyze = sub.add_parser(
-        "analyze", help="dataflow analysis: indirect-target "
-                        "resolution")
-    analyze.add_argument("files", nargs="*",
-                         help="programs to link into one image and "
-                              "analyze (default: the bundled "
-                              "workloads)")
-    analyze.add_argument("--workloads", action="store_true",
-                         help="also analyze every bundled workload "
-                              "image")
-    analyze.add_argument("--json", action="store_true",
-                         help="emit the sensmart-analyze/2 JSON "
-                              "report instead of text")
-    analyze.set_defaults(func=_cmd_analyze)
 
     serve = sub.add_parser(
         "serve", help="serve the content-addressed build pipeline "

@@ -13,8 +13,7 @@ from typing import List
 
 from ..analysis.report import format_table
 from ..avr.devices.extflash import PAGE_ENDURANCE
-from ..baselines.copyswitch import (CONTEXT_CYCLES, CopyOnSwitchOS,
-                                    switch_cost_cycles)
+from ..baselines.copyswitch import CopyOnSwitchOS, switch_cost_cycles
 from ..kernel import KernelConfig, SensorNode
 from ..kernel import costs
 

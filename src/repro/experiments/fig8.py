@@ -12,7 +12,7 @@ fixed-worst-case vs versatile allocation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from ..analysis.report import format_table
 from ..baselines.fixedstack import ThreadSpec, max_schedulable_threads

@@ -1,4 +1,4 @@
-"""Fleet-scale sharded co-simulation (see INTERNALS.md §14).
+"""Fleet-scale sharded co-simulation (see INTERNALS.md §13).
 
 Public surface: topology generators (:func:`grid`,
 :func:`random_geometric`, :func:`partition`), workload assignment

@@ -33,7 +33,7 @@ through ``UDR0``), assigned per node from the topology:
 Busy-wait receive loops are deliberate here: a spinning node's
 earliest-possible-TX equals its current cycle, so the conservative
 cross-shard lookahead in :mod:`repro.fleet.sim` never needs to reason
-about transitively-woken sleepers (see INTERNALS.md §14).  They cost
+about transitively-woken sleepers (see INTERNALS.md §13).  They cost
 O(events), not O(iterations): ``UCSR0A`` is a stable register, so the
 trace JIT skips every spin iteration that repeats the one before it,
 up to the next kernel entry, event or run limit (INTERNALS.md §11).

@@ -14,7 +14,7 @@ from typing import Callable, Dict, List, Optional
 from ..avr import ioports
 from ..avr.cpu import AvrCpu
 from ..avr.memory import Flash
-from ..errors import KernelError, OutOfMemory, SimulationError, TaskFault
+from ..errors import KernelError, SimulationError, TaskFault
 from ..toolchain.image import TargetImage
 from . import costs
 from .config import KernelConfig

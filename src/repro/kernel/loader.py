@@ -28,7 +28,7 @@ from ..rewriter.trampoline import TrampolinePool
 from ..toolchain.image import TaskImage
 from . import costs
 from .regions import MemoryRegion
-from .task import Task, TaskState
+from .task import Task
 from .termination import TerminationReason
 
 #: Internal flash self-programming: ~4.5 ms per 128-word page at

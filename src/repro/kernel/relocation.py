@@ -21,7 +21,7 @@ bottom and its stack hangs from its top):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 from ..avr.memory import DataMemory
 from . import costs

@@ -8,10 +8,10 @@ resumes the task (or switches away from it).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 from ..avr import ioports
-from ..errors import KernelError, TaskFault
+from ..errors import TaskFault
 from ..rewriter.classify import PatchKind
 from . import costs
 from .termination import TerminationReason

@@ -14,7 +14,6 @@ from ..fingerprint import content_key
 #: Schema tags, versioned independently of the store formats.
 VERDICT_SCHEMA = "sensmart-verdict/2"
 LINT_SCHEMA = "sensmart-lint/2"
-ANALYZE_SCHEMA = "sensmart-analyze/2"
 RUN_SCHEMA = "sensmart-run/1"
 SERVE_STATS_SCHEMA = "sensmart-serve-stats/1"
 FLEET_SCHEMA = "sensmart-fleet/1"
@@ -82,19 +81,6 @@ def lint_report_dict(report) -> dict:
              "message": finding.message}
             for finding in report.findings
         ],
-    }
-
-
-def analyze_report_dict(image) -> dict:
-    """JSON form of the ``sensmart analyze`` dataflow summary: per-task
-    site counts and indirect-control resolution quality."""
-    from ..analysis.static import analyze_image
-    tasks = analyze_image(image)
-    return {
-        "tasks": tasks,
-        "sites_total": sum(row["sites"] for row in tasks),
-        "unresolved_indirect": sum(row["unresolved_indirect"]
-                                   for row in tasks),
     }
 
 

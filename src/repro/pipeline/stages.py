@@ -200,8 +200,9 @@ class LintStage(Stage):
     """Soundness lint + static stack bounds over the linked image."""
 
     name = "lint"
-    #: Bumped whenever the fields of the lint report change.
-    version = 2
+    #: Bumped whenever the fields of the lint report, or the bounds
+    #: the stack analysis computes for a given image, change.
+    version = 3
     persistent = True
 
     def run(self, pipeline, request, ctx):

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import List, Optional, Set
 
 from ..avr.instruction import Instruction
-from ..avr.isa import PTR_BASE
+from ..avr.isa import PTR_BASE, written_registers
 from .blocks import BasicBlock
 
 #: Maximum accesses sharing one translation (word/double-word data).
@@ -44,26 +44,6 @@ def _mutates_pointer(instruction: Instruction) -> bool:
     if instruction.mnemonic in ("LD", "ST"):
         mode = instruction.operands[1]
         return "+" in mode or mode.startswith("-")
-    return False
-
-
-def _writes_register(instruction: Instruction, register: int) -> bool:
-    """Conservative: does *instruction* write *register* or its pair?"""
-    m = instruction.mnemonic
-    ops = instruction.operands
-    pair = (register, register + 1)
-    if m in ("LDI", "LDS", "POP", "IN", "COM", "NEG", "SWAP", "INC",
-             "ASR", "LSR", "ROR", "DEC", "SUBI", "SBCI", "ANDI", "ORI",
-             "LD", "LDD", "BLD", "LPM"):
-        return ops and ops[0] in pair
-    if m in ("ADD", "ADC", "SUB", "SBC", "AND", "OR", "EOR", "MOV"):
-        return ops[0] in pair
-    if m == "MOVW":
-        return ops[0] in pair or ops[0] + 1 in pair
-    if m in ("ADIW", "SBIW"):
-        return ops[0] in pair
-    if m == "MUL":
-        return register <= 1
     return False
 
 
@@ -94,7 +74,8 @@ def find_grouped_followers(blocks: List[BasicBlock]) -> Set[int]:
                     active_base = None
                 continue
             if active_base is not None and \
-                    _writes_register(instruction, active_base):
+                    {active_base, active_base + 1}.intersection(
+                        written_registers(instruction)):
                 active_base = None
                 group_len = 0
         # Block boundary always ends the group (handled by loop scope).

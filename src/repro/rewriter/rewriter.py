@@ -27,7 +27,7 @@ if TYPE_CHECKING:  # avoid a circular import with the toolchain package
 from .blocks import build_blocks
 from .classify import PatchKind, classify
 from .grouping import find_grouped_followers
-from .naturalized import NaturalizedProgram, RewriteStats, Site
+from .naturalized import NaturalizedProgram, Site
 from .shift_table import ShiftTable
 from .trampoline import TrampolinePool
 

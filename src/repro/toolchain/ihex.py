@@ -11,7 +11,7 @@ address) — enough for the ATmega128's 128 KB program space.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..errors import ReproError
 

@@ -96,10 +96,19 @@ def test_lint_command_on_file(blink_file, capsys):
     assert "image is sound" in out
 
 
-def test_lint_command_bounds(blink_file, capsys):
+def test_lint_command_bounds(blink_file, tmp_path, capsys):
     assert main(["lint", blink_file, "--bounds"]) == 0
     out = capsys.readouterr().out
     assert "static stack bounds" in out
+    # An IJMP with no address pool resolves to every label, and the
+    # bounds say so.
+    path = tmp_path / "nopool.asm"
+    path.write_text("main:\n    mov r30, r24\n    mov r31, r25\n"
+                    "    ijmp\nafter:\n    break\n")
+    assert main(["lint", str(path), "--bounds"]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"indirect branches at 0x[0-9a-f]+ resolved "
+                     r"conservatively to every label", out), out
 
 
 def test_lint_command_workloads(capsys):

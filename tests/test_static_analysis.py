@@ -8,6 +8,7 @@ from repro.analysis.static import (INFINITE_DEPTH, analyze_program,
                                    build_cfg, lint_image, lint_sources)
 from repro.avr.encoding import encode
 from repro.avr.instruction import Instruction
+from repro.kernel import SensorNode
 from repro.toolchain import compile_source, link_image
 from repro.workloads.bintree import feeder_source, search_task_source
 from repro.workloads.kernelbench import (KERNEL_BENCHMARKS,
@@ -105,12 +106,12 @@ h_two:
 table:
     .dw h_one, h_two
 """)
+    labels = program.symbols.labels
     callees = {callee for node in cfg.nodes.values()
                for _, callee in node.calls}
-    # The straight-line LPM chain provably loads table entry 0, so the
-    # dataflow pass narrows the ICALL to exactly h_one.
-    assert callees == {program.symbols.labels["h_one"]}
-    # Pool resolution is not the all-labels fallback.
+    # The ICALL reads the .dw table, so the pool (both handlers) is its
+    # candidate set, and that is not the all-labels fallback.
+    assert callees == {labels["h_one"], labels["h_two"]}
     assert not cfg.unresolved_indirect
 
 
@@ -143,8 +144,7 @@ table:
                 program.symbols.labels["h_two"]}
     callees = {callee for node in cfg.nodes.values()
                for _, callee in node.calls}
-    # Z widens across the loop head, so dataflow reports ⊤ and the
-    # pool (the .dw table) stays the candidate set — both handlers.
+    # The pool (the .dw table) is the candidate set: both handlers.
     assert handlers <= callees
     assert not cfg.unresolved_indirect
 
@@ -162,6 +162,48 @@ after:
     ijmp_node = next(node for node in cfg.nodes.values()
                      if node.indirect_site is not None)
     assert program.symbols.labels["after"] in ijmp_node.successors
+
+
+def test_mov_fed_ijmp_drops_data_only_labels():
+    """A block with no LPM cannot be dispatching through a ``.dw``
+    table, so table-only labels leave its fallback set."""
+    program, cfg = _cfg("""
+main:
+    ldi r26, lo8(buf)
+    ldi r27, hi8(buf)
+    ld r30, X
+    ld r31, X
+    ijmp
+
+table:
+    .dw h_one
+    .dw h_two
+
+h_one:
+    ret
+h_two:
+    ret
+
+dispatch2:
+    ldi r30, lo8(other)
+    ldi r31, hi8(other)
+    ijmp
+other:
+    break
+
+    .bss buf, 4
+""")
+    labels = program.symbols.labels
+    site = cfg.node_containing(labels["main"])
+    # The candidate pool holds the two table entries plus the one
+    # LDI-loaded constant; a site that never LPM-reads the table keeps
+    # only the latter.
+    assert labels["h_one"] not in site.successors
+    assert labels["h_two"] not in site.successors
+    assert labels["other"] in site.successors
+    # The table-reading shape (an LPM in the block) keeps them: see
+    # test_cfg_icall_resolves_dw_handler_table and the eventchain
+    # workload's dispatch loop.
 
 
 # -- stack-depth analysis -----------------------------------------------------
@@ -211,6 +253,46 @@ deep:
 """, name="t")
     analysis = analyze_program(program)
     assert analysis.bound == 5  # call frame 2 + three pushes
+
+
+#: An LDI pair loads h_one into Z, then a post-increment access moves Z
+#: to h_two before the IJMP: the run reaches the four pushes.  The large
+#: heap keeps the data access at h_one's (code) address in the task.
+STALE_Z = """
+main:
+    ldi r30, lo8(h_one)
+    ldi r31, hi8(h_one)
+    {access}
+    ijmp
+h_one:
+    break
+h_two:
+    push r1
+    push r1
+    push r1
+    push r1
+    break
+other:
+    ldi r30, lo8(h_two)
+    ldi r31, hi8(h_two)
+    ijmp
+
+    .bss buf, 3000
+"""
+
+
+@pytest.mark.parametrize("access", ["ld r0, Z+", "st Z+, r1"])
+def test_stack_bound_survives_z_moved_by_a_pointer_access(access):
+    """The access writes Z, so the LDI constant does not reach the
+    IJMP: the site falls back to the pool and the bound dominates the
+    peak the run observes."""
+    source = STALE_Z.format(access=access)
+    node = SensorNode.from_sources([("t", source)])
+    node.run(max_instructions=10_000)
+    task = next(iter(node.kernel.tasks.values()))
+    assert task.exit_reason == "exit" and task.max_stack_used == 4
+    analysis = analyze_program(node.kernel.image.tasks[0].natural.program)
+    assert analysis.bound >= task.max_stack_used
 
 
 def test_recursion_detected_and_unbounded():

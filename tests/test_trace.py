@@ -759,6 +759,11 @@ def test_sreg_effects_masks():
     assert sreg_effects("LDI") == (0, 0)
 
 
+def test_ret_leaks_all_flags_to_the_caller():
+    reads, writes = sreg_effects("RET")
+    assert reads == ALL_FLAGS and writes == 0
+
+
 def test_strip_elision_keeps_flag_tables_out_of_the_hot_loop():
     """The SPIN inner loop's ADIW flags feed only its own BRNE: the
     strip-mined body must test the result predicate directly, with the

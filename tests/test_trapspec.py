@@ -11,15 +11,17 @@ each hot trace once per flash image, not once per node.
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.avr import ioports
 from repro.avr.cpu import SuperblockCache
 from repro.avr.devices.radio import Radio
-from repro.avr.trace import TraceCompiler
+from repro.avr.trace import TraceCompiler, TraceStore
 from repro.errors import LinkError
 from repro.experiments.extra_static import _workload_sources
-from repro.kernel import SensorNode
+from repro.kernel import KernelConfig, SensorNode
 from repro.net.network import Network
 from repro.workloads.bintree import search_task_source
 from repro.workloads.kernelbench import KERNEL_BENCHMARKS
@@ -160,6 +162,84 @@ def test_equal_fingerprints_with_different_trampolines_never_share(
         assert _digest(shared) == _digest(private)
     assert fingerprints[0] == fingerprints[1]
     assert max(cache.compile_counts.values()) == 1
+
+
+# -- range checks of in-region sites ------------------------------------------
+
+# Every access stays in its region: X/Y are heap constants, and the
+# pops never underflow.
+TRAP_MIX = """
+    .bss buf, 96
+
+main:
+    ldi r26, lo8(buf)
+    ldi r27, hi8(buf)
+    ldi r28, lo8(buf)
+    ldi r29, hi8(buf)
+    ldi r20, 0x11
+    ldi r21, 0x22
+    ldi r25, 4
+outer:
+    ldi r22, 8
+inner:
+    st X, r20
+    ld r23, X
+    push r20
+    push r21
+    std Y+2, r23
+    ldd r23, Y+2
+    pop r21
+    pop r20
+    rcall helper
+    dec r22
+    brne inner
+    dec r25
+    brne outer
+    break
+
+helper:
+    ret
+"""
+
+
+def _stored_traces(node):
+    """``(sites, source)`` of every trace *node* compiled, read back
+    from its :class:`TraceStore` artifacts."""
+    tracer = node.kernel.tracer
+    stored = TraceStore(tracer.store.path).load(tracer._store_base())
+    for entries in stored.values():
+        for artifact in entries.values():
+            yield ([site for site, _, _ in artifact["sites"]],
+                   artifact["source"])
+
+
+#: The range check each in-region kind's fast arm runs behind.
+_GUARDS = {"MEM_INDIRECT": r"elif \d+ <= ta < \d+:",
+           "STACK_POP": r"if tsp < \d+:"}
+
+
+@pytest.mark.tier_up_at_once
+def test_default_config_keeps_guards(tmp_path):
+    """All four heap accesses and both pops of TRAP_MIX stay in their
+    regions on every run, and every trace that chains one of those
+    sites still carries the site's range check: only a checked proof
+    may drop a guard, and the JIT takes none."""
+    node = SensorNode.from_sources(
+        [("trap_mix", TRAP_MIX)],
+        config=KernelConfig(trace_store=str(tmp_path)), block_cache=False)
+    node.run(max_instructions=100)  # the task must stay alive
+    natural = node.kernel.image.tasks[0].natural
+    kinds = {site: patch.kind.name for site, patch in natural.sites.items()
+             if patch.kind.name in _GUARDS}
+    assert sorted(kinds.values()) == ["MEM_INDIRECT"] * 4 \
+        + ["STACK_POP"] * 2
+    chained = set()
+    for sites, source in _stored_traces(node):
+        for kind, guard in _GUARDS.items():
+            want = sum(kinds.get(site) == kind for site in sites)
+            assert len(re.findall(guard, source)) == want, (kind, source)
+        chained.update(sites)
+    assert set(kinds) <= chained
 
 
 # -- radio TX ring -------------------------------------------------------------
