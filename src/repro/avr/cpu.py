@@ -35,7 +35,7 @@ Two integration points exist for the SenSmart kernel:
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, List, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from ..errors import InvalidInstruction, MemoryFault, SimulationError
 from ..sim.events import INFINITY, SimClock
@@ -332,13 +332,11 @@ class AvrCpu(SimClock):
         self.io_read[ioports.SREG] = self._read_sreg
         self.io_write[ioports.SREG] = self._write_sreg
         self.io_stable: Set[int] = set()
-        self._exec: List[Optional[Callable[[], None]]] = \
-            [None] * flash.size_words
-        #: Trace entries: pc -> (closure, instructions, member cycles).
-        self._blocks: List[Optional[Tuple]] = [None] * flash.size_words
-        #: True once _exec or _blocks holds an entry stored since the
-        #: last invalidate_decode(), which clears only when it is set.
-        self._decoded = False
+        #: Decoded thunks: pc -> closure, only for pcs decoded so far.
+        self._exec: Dict[int, Callable[[], None]] = {}
+        #: Trace entries: pc -> (closure, instructions, member cycles),
+        #: or None where a deopt retired the entry.
+        self._blocks: Dict[int, Optional[Tuple]] = {}
         self._devices: List = []
         self._pending_irqs: Deque[int] = deque()
         self._trap_ranges: List = []  # [(lo, hi)] word-address ranges
@@ -437,24 +435,19 @@ class AvrCpu(SimClock):
 
         Clears the caches *in place*: the run loop keeps direct references
         to them, and a trap handler may invalidate mid-run (dynamic task
-        loading re-burns flash and appends trap regions).  The clear is
-        skipped when nothing was stored since the last one, so
-        configuring a fresh CPU (``set_trap_region``, ``set_tracer``)
-        costs nothing.
+        loading re-burns flash and appends trap regions).
         """
-        if self._decoded:
-            self._exec[:] = [None] * self.flash.size_words
-            self._blocks[:] = [None] * self.flash.size_words
-            self._decoded = False
+        self._exec.clear()
+        self._blocks.clear()
         self._cache_base_key = None  # flash/trap geometry may have changed
 
     def free_decode_caches(self) -> None:
         """Empty the decode caches of a CPU that will never run again: a
-        dead CPU sits in reference cycles, so its two flash-sized lists
-        (about 1 MB) would otherwise wait for a full collection."""
+        dead CPU sits in reference cycles, and its decoded thunks and
+        trace closures reference it back, so without this they would
+        wait for a full collection."""
         self._exec.clear()
         self._blocks.clear()
-        self._decoded = False
 
     def enable_profiling(self) -> None:
         """Count executions per PC (Avrora-style flat profile).
@@ -537,10 +530,7 @@ class AvrCpu(SimClock):
             self._trap_handler(self, -1, pc, False)
             self.instret += 1
             return
-        thunk = self._exec[pc]
-        if thunk is None:
-            thunk = self._decode_at(pc)
-        thunk()
+        (self._exec.get(pc) or self._decode_at(pc))()
         self.instret += 1
 
     def run(self, max_cycles: Optional[int] = None,
@@ -567,9 +557,10 @@ class AvrCpu(SimClock):
         except IndexError as error:
             # Corrupted control flow (e.g. an injected bit flip in a
             # saved return address) can push PC or a pointer past the
-            # modelled address spaces; the raw list access then raises
-            # IndexError inside a thunk.  Surface it as the memory
-            # fault it models rather than a host-level crash.
+            # modelled address spaces: _decode_at and _fuse_block raise
+            # IndexError for a pc outside flash, and a raw table index
+            # does for a pointer.  Surface it as the memory fault it
+            # models rather than a host-level crash.
             raise MemoryFault(self.pc, "wild access") from error
 
     def _run_stepwise(self, max_cycles, max_instructions, until) -> None:
@@ -601,7 +592,8 @@ class AvrCpu(SimClock):
         cross ``max_cycles`` or ``max_instructions``, so the stop point
         is bit-identical to stepwise mode.
         """
-        blocks = self._blocks  # cleared in place by invalidate_decode
+        # Bound to the caches, which invalidate_decode clears in place.
+        block_at, thunk_at = self._blocks.get, self._exec.get
         irqs = self._pending_irqs
         events = self.events
         mc = self._run_mc  # published by run() for traces
@@ -620,12 +612,16 @@ class AvrCpu(SimClock):
                     self._trap_handler(self, -1, pc, False)
                     self.instret += 1
                 else:
-                    entry = blocks[pc]
+                    entry = block_at(pc)
                     if entry is None:
                         entry = self._fuse_block(pc)
                     if entry is None or self.instret + entry[1] > mi \
                             or self.cycles + entry[2] >= mc:
-                        self.step()  # cold head, or exact-stop epilogue
+                        # A cold head, or the exact-stop epilogue: a
+                        # step() that skips the interrupt and trap-region
+                        # checks this loop just made.
+                        (thunk_at(pc) or self._decode_at(pc))()
+                        self.instret += 1
                     else:
                         entry[0]()
             if self.cycles >= events.next_due:
@@ -668,6 +664,8 @@ class AvrCpu(SimClock):
     # -- decoding into closures ---------------------------------------------------
 
     def _decode_at(self, pc: int) -> Callable[[], None]:
+        if not 0 <= pc < self.flash.size_words:
+            raise IndexError(pc)  # a wild pc: see run()
         word = self.flash.word(pc)
         next_word = self.flash.word(pc + 1) \
             if pc + 1 < self.flash.size_words else None
@@ -684,7 +682,6 @@ class AvrCpu(SimClock):
                 profile[address] += 1
                 inner()
         self._exec[pc] = thunk
-        self._decoded = True
         return thunk
 
     def _skip_cycles_and_target(self, after: int) -> (int, int):
@@ -700,6 +697,8 @@ class AvrCpu(SimClock):
 
         Returns and caches ``(closure, instruction_count, head_cycles)``.
         """
+        if not 0 <= pc < self.flash.size_words:
+            raise IndexError(pc)  # a wild pc, before the tracer reads it
         tracer = self._tracer
         if tracer is None:
             from .trace import TraceCompiler  # trace.py imports this module
@@ -708,7 +707,6 @@ class AvrCpu(SimClock):
             return None
         entry = tracer.entry_for(pc)
         self._blocks[pc] = entry
-        self._decoded = True
         return entry
 
     def _cache_base(self):

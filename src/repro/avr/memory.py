@@ -26,7 +26,11 @@ class Flash:
         self.size_words = size_words
         self._words = array("H", [0xFFFF]) * size_words
         self._burn_listeners: List = []
-        self._fingerprint: Optional[str] = None
+        #: The fingerprint memo, a one-item list (``[None]`` until it is
+        #: computed) that flashes holding the same words may share.
+        self._fingerprint: List[Optional[str]] = [None]
+        #: True until the first :meth:`load`.
+        self.blank = True
         if words is not None:
             self.load(0, words)
 
@@ -49,20 +53,30 @@ class Flash:
         if not 0 <= word_address <= self.size_words - len(words):
             raise MemoryFault(word_address, "program burn")
         self._words[word_address:word_address + len(words)] = words
-        self._fingerprint = None
+        self._fingerprint = [None]
+        self.blank = False
         for listener in self._burn_listeners:
             listener()
 
     def fingerprint(self) -> str:
-        """Content hash of the full image, computed lazily per burn.
+        """Content hash of the full image, computed lazily per burn
+        (once for every flash that shares this one's memo).
 
         Keys the process-wide superblock translation cache: nodes whose
         flash hashes equal share compiled superblocks (N identical nodes
         in a network compile each hot block once).
         """
-        if self._fingerprint is None:
-            self._fingerprint = blake2b_hex(self._words.tobytes())
-        return self._fingerprint
+        memo = self._fingerprint
+        if memo[0] is None:
+            memo[0] = blake2b_hex(self._words.tobytes())
+        return memo[0]
+
+    def share_fingerprint(self, memo: List[Optional[str]]) -> None:
+        """Keep the fingerprint in *memo*, a one-item list shared by
+        flashes that hold the same words as this one, so that the first
+        of them to be fingerprinted hashes for all.  The next
+        :meth:`load` gives this flash a memo of its own again."""
+        self._fingerprint = memo
 
     def word(self, word_address: int) -> int:
         if not 0 <= word_address < self.size_words:

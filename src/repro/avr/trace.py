@@ -97,7 +97,7 @@ _MAX_STRIP = 16_777_216
 
 #: On-disk artifact format version; any change to the generated source
 #: conventions or the artifact schema must bump this.
-STORE_VERSION = 6
+STORE_VERSION = 7
 
 #: Tier-up threshold: a trace head runs on the stepwise oracle for its
 #: first ``TIER_UP - 1`` dispatches and compiles on dispatch number
@@ -1205,7 +1205,7 @@ class _Emitter:
         ends the last task leaves it there), then the terminator's
         decoded thunk."""
         address = node.target
-        call = f"(cpu._exec[{address}] or cpu._decode_at({address}))()"
+        call = f"(cpu._exec.get({address}) or cpu._decode_at({address}))()"
         return self._trap_prologue(node) + self._exit(address, slow=call)
 
     @staticmethod

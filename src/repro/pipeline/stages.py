@@ -200,9 +200,11 @@ class LintStage(Stage):
     """Soundness lint + static stack bounds over the linked image."""
 
     name = "lint"
-    #: Bumped whenever the fields of the lint report, or the bounds
-    #: the stack analysis computes for a given image, change.
-    version = 3
+    #: Bumped whenever the fields of the lint report, the bounds the
+    #: stack analysis computes for a given image, or the image the
+    #: rewrite links from given sources change (later stage keys chain
+    #: from this one).
+    version = 4
     persistent = True
 
     def run(self, pipeline, request, ctx):

@@ -39,14 +39,6 @@ def _pointer_base(instruction: Instruction) -> Optional[int]:
     return None
 
 
-def _mutates_pointer(instruction: Instruction) -> bool:
-    """True when an LD/ST mode changes the pointer register itself."""
-    if instruction.mnemonic in ("LD", "ST"):
-        mode = instruction.operands[1]
-        return "+" in mode or mode.startswith("-")
-    return False
-
-
 def find_grouped_followers(blocks: List[BasicBlock]) -> Set[int]:
     """Site addresses whose translation is shared with a group leader."""
     followers: Set[int] = set()
@@ -63,16 +55,11 @@ def find_grouped_followers(blocks: List[BasicBlock]) -> Set[int]:
                     followers.add(instruction.address)
                     group_len += 1
                 else:
-                    # Start a new group.  Post-inc/pre-dec accesses can
-                    # lead a group but their pointer mutation ends it.
-                    active_base = None if _mutates_pointer(instruction) \
-                        else base
+                    active_base = base  # start a new group
                     group_len = 1
-                # A displaced access never mutates the pointer; modes
-                # with side effects invalidate the cached translation.
-                if _mutates_pointer(instruction):
-                    active_base = None
-                continue
+            # Any write to the base pair ends the group, the access's own
+            # included: a post-inc/pre-dec mode moves the pointer, and a
+            # load into the pair replaces it.
             if active_base is not None and \
                     {active_base, active_base + 1}.intersection(
                         written_registers(instruction)):

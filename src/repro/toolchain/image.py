@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple
 
 from ..avr.memory import Flash
 from ..rewriter.naturalized import NaturalizedProgram
@@ -45,6 +45,10 @@ class TargetImage:
     pool: TrampolinePool
     trap_region: Tuple[int, int]  # [lo, hi) word addresses
     code_start: int = KERNEL_CODE_WORDS
+    #: Flash size -> the fingerprint memo that :meth:`burn` hands to
+    #: every blank flash of that size.
+    _fingerprints: Dict[int, List[Optional[str]]] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def trampolines_by_address(self) -> Dict[int, Trampoline]:
@@ -58,12 +62,20 @@ class TargetImage:
         """Write the image into *flash*.
 
         The trampoline region is filled with ``BREAK`` words so that a
-        stray fetch outside kernel control is caught immediately.
+        stray fetch outside kernel control is caught immediately.  A
+        flash that nothing had loaded before ends up holding the same
+        words on every burn, so those flashes share one fingerprint
+        memo: a fleet of nodes booted from this image hashes 128 KB of
+        flash once, not once per node.
         """
+        blank = flash.blank
         for task in self.tasks:
             flash.load(task.natural.base, task.natural.words)
         lo, hi = self.trap_region
         flash.load(lo, [0x9598] * (hi - lo))
+        if blank:
+            flash.share_fingerprint(
+                self._fingerprints.setdefault(flash.size_words, [None]))
 
     def task_for_address(self, address: int) -> TaskImage:
         for task in self.tasks:

@@ -137,8 +137,8 @@ def test_fleet_digest_is_tier_invariant(workload, monkeypatch):
 
 def test_finished_nodes_free_their_decode_caches(monkeypatch):
     """Priming's scratch nodes and every shard node empty their
-    flash-sized decode lists once done, instead of holding about 1 MB
-    each until a full garbage collection happens to run."""
+    decode caches once done, instead of holding their thunks and
+    traces until a full garbage collection happens to run."""
     built = []
     init = AvrCpu.__init__
 

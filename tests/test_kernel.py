@@ -36,6 +36,30 @@ def test_single_task_runs_to_completion():
     assert node.task_named("count").exit_reason == "exit"
 
 
+def test_a_boot_allocates_no_table_per_flash_word():
+    """Each extra node of one linked image costs its 128 KB flash and
+    its own small state: a boot allocates no table per flash word (two
+    65,536-entry decode lists made it over 1 MB), and the image's flash
+    fingerprint is computed once, not per node."""
+    import tracemalloc
+
+    from repro.toolchain import link_image
+    image = link_image([("count", COUNT_TO_TEN)])
+    nodes = [SensorNode.from_image(image)]  # first boot: lazy set-up
+    nodes[0].cpu.flash.fingerprint()
+    extra = 4
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(extra):
+            nodes.append(SensorNode.from_image(image))
+            nodes[-1].cpu.flash.fingerprint()
+        per_boot = (tracemalloc.get_traced_memory()[0] - before) / extra
+    finally:
+        tracemalloc.stop()
+    assert per_boot < 256 * 1024, f"{per_boot / 1024:.0f} KB per boot"
+
+
 def test_heap_write_lands_in_task_region():
     node = SensorNode.from_sources([("count", COUNT_TO_TEN)])
     kernel = node.kernel

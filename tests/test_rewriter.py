@@ -160,6 +160,17 @@ main:
     assert followers == set()
 
 
+@pytest.mark.parametrize("body, expected", [
+    ("ldd r30, Z+0\n    ldd r24, Z+2", set()),  # the load replaces Z
+    ("ldd r28, Y+1\n    ldd r24, Y+2", set()),  # ... and here Y
+    ("ldd r24, Z+0\n    ldd r25, Z+1", {1}),    # Z unchanged: grouped
+], ids=["z-replaced", "y-replaced", "z-kept"])
+def test_grouping_ends_when_an_access_writes_its_base(body, expected):
+    program = compile_source(f"main:\n    {body}\n    break\n")
+    followers = find_grouped_followers(build_blocks(program.items))
+    assert followers == expected
+
+
 def test_grouping_not_across_branches():
     program = compile_source("""
 main:

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.avr import AvrCpu, Flash, assemble, ioports
+from repro.avr import AvrCpu, Flash, assemble, ioports, trace
 from repro.avr.devices import Timer3
 from repro.avr.trace import TraceCompiler
+from repro.errors import MemoryFault
 from repro.kernel import SensorNode
 
 #: Every test here is about fused execution: compile each trace head on
@@ -131,7 +132,8 @@ def test_profiling_counts_identical_across_modes():
 # -- cache invalidation --------------------------------------------------------
 
 def _cached_blocks(cpu: AvrCpu) -> int:
-    return sum(1 for entry in cpu._blocks if entry is not None)
+    """Trace entries stored; a deopt leaves None under its head pc."""
+    return sum(1 for entry in cpu._blocks.values() if entry is not None)
 
 
 def test_invalidate_decode_drops_fused_blocks():
@@ -199,9 +201,8 @@ main:
     assert cpu.r[16] == 1 and cpu.r[17] == 9
 
 
-# invalidate_decode() skips the clear when nothing was stored since the
-# last one, so both writers of _exec/_blocks (_decode_at and the trace
-# entry store of _fuse_block) must say that they stored.  Each case
+# A re-burn must drop what either writer of _exec/_blocks stored
+# (_decode_at and the trace entry store of _fuse_block).  Each case
 # below makes exactly one store on a fresh CPU.
 
 _LOOP = """
@@ -243,7 +244,7 @@ def _trace_entry():
 def _stored(cpu: AvrCpu):
     return [(name, pc) for name, cache in (("exec", cpu._exec),
                                            ("blocks", cpu._blocks))
-            for pc, entry in enumerate(cache) if entry is not None]
+            for pc, entry in cache.items() if entry is not None]
 
 
 @pytest.mark.parametrize("writer", [_decode_at, _trace_entry],
@@ -253,6 +254,26 @@ def test_reburn_clears_what_each_writer_stored(writer):
     assert len(_stored(cpu)) == 1  # the writer's store is the only one
     cpu.flash.load(0, [cpu.flash.word(0)])
     assert _stored(cpu) == []
+
+
+# -- wild pcs --------------------------------------------------------------------
+
+@pytest.mark.parametrize("tier_up", [1, 64])
+@pytest.mark.parametrize("fuse", [False, True])
+def test_pc_past_flash_is_a_wild_access(monkeypatch, fuse, tier_up):
+    """An IJMP past the end of a short flash faults as a wild access in
+    both modes, whether the head at the wild pc would be compiled at
+    once (TIER_UP 1) or stepped while cold: the decode caches hold only
+    what was decoded, so the decode paths check the pc themselves
+    rather than reading flash there ("program fetch")."""
+    monkeypatch.setattr(trace, "TIER_UP", tier_up)
+    program = assemble("main:\n    ldi r30, 40\n    ldi r31, 0\n"
+                       "    ijmp\n")
+    cpu = AvrCpu(Flash(program.words, size_words=32), fuse=fuse,
+                 block_cache=False)
+    with pytest.raises(MemoryFault, match="wild access"):
+        cpu.run(max_instructions=100)
+    assert cpu.pc == 40 and cpu.instret == 3
 
 
 # -- events landing mid-block -------------------------------------------------

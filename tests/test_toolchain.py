@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+from array import array
+
 import pytest
 
+from repro.avr import memory
 from repro.avr.memory import Flash
 from repro.errors import LinkError, RewriteError
+from repro.fingerprint import blake2b_hex
 from repro.rewriter import Rewriter
 from repro.toolchain import compile_source, link_image
 from repro.toolchain.image import KERNEL_CODE_WORDS
@@ -78,6 +82,46 @@ def test_burn_fills_trap_region_with_breaks():
     image.burn(flash)
     lo, hi = image.trap_region
     assert all(flash.word(address) == 0x9598 for address in range(lo, hi))
+
+
+def _hash_of_words(flash: Flash) -> str:
+    return blake2b_hex(array("H", flash.as_words()).tobytes())
+
+
+def test_flash_loaded_before_or_after_a_burn_hashes_its_own_words():
+    image = link_image([("a", TINY)])
+    reference = Flash()
+    image.burn(reference)
+    reference.fingerprint()  # fills the image's memo
+    loaded_before = Flash()
+    loaded_before.load(0x10, [0x0000])
+    image.burn(loaded_before)
+    loaded_after = Flash()
+    image.burn(loaded_after)
+    loaded_after.load(0x10, [0x0000])
+    for flash in (loaded_before, loaded_after):
+        assert flash.fingerprint() == _hash_of_words(flash)
+        assert flash.fingerprint() != reference.fingerprint()
+    late = Flash()
+    image.burn(late)  # the memo survived the loads above
+    assert late.fingerprint() == reference.fingerprint() == \
+        _hash_of_words(late)
+
+
+def test_nodes_of_one_image_hash_their_flash_once(monkeypatch):
+    from repro.kernel import SensorNode
+    calls = []
+
+    def counting(data, *args, **kwargs):
+        calls.append(len(data))
+        return blake2b_hex(data, *args, **kwargs)
+
+    image = link_image([("a", TINY)])
+    monkeypatch.setattr(memory, "blake2b_hex", counting)
+    nodes = [SensorNode.from_image(image) for _ in range(2)]
+    assert nodes[0].cpu.flash.fingerprint() == \
+        nodes[1].cpu.flash.fingerprint()
+    assert len(calls) == 1
 
 
 def test_task_for_address():
