@@ -15,14 +15,8 @@ Both modes must retire bit-identical state — tracing is a pure
 execution-speed knob — and a traced run must chain blocks and
 specialize trap sites.  Measured rates land in ``BENCH_trace.json``.
 
-Extra modes for CI and tuning (no pytest plugin needed):
-
-* ``--quick`` — one timed pass per configuration plus the identity
-  check.
-* ``--phase cold|warm`` — persistent-store round trip: ``cold``
-  populates ``SENSMART_TRACE_STORE`` and prints a digest; ``warm`` (a
-  fresh process) must compile zero traces, serve everything from the
-  store, and print the same digest.
+``--quick`` (no pytest plugin needed) is the CI smoke: one timed pass
+per configuration plus the identity check.
 """
 
 import json
@@ -54,11 +48,10 @@ def _run(workload: str, fuse: bool):
             block_cache=False)
         node.run(max_instructions=10_000_000)
         assert node.finished
-        tracer = node.kernel.tracer
-        if fuse and tracer.stats.store_hits == 0:
-            # Compiled in this process: blocks chain into traces and
-            # the trap sites on them are specialized.
-            assert tracer.chained
+        if fuse:
+            # Blocks chain into traces and the trap sites on them are
+            # specialized.
+            assert node.kernel.tracer.chained
             assert node.kernel.specializer.stats.compiled > 0
         return node
 
@@ -126,46 +119,9 @@ def _quick() -> None:
     print("quick smoke OK")
 
 
-def _phase(which: str) -> None:
-    """Persistent-store round trip, one phase per process.
-
-    ``cold`` compiles and populates the store; ``warm`` must run
-    entirely from it (zero fresh compiles) and reproduce the same
-    digest.  Drive it as:
-
-        export SENSMART_TRACE_STORE=/tmp/sensmart-traces
-        python benchmarks/bench_trace.py --phase cold  > cold.out
-        python benchmarks/bench_trace.py --phase warm  > warm.out
-        cmp cold.out warm.out
-    """
-    import os
-    import sys
-
-    from repro.fingerprint import blake2b_hex
-    assert os.environ.get("SENSMART_TRACE_STORE"), \
-        "set SENSMART_TRACE_STORE to the store directory first"
-    for workload in WORKLOADS:
-        node = _run(workload, fuse=True)()
-        stats = node.kernel.tracer.stats
-        if which == "warm":
-            assert stats.compiled == 0, \
-                f"warm run compiled {stats.compiled} traces " \
-                f"({workload}): store did not serve them"
-            assert stats.store_hits > 0
-        digest = blake2b_hex(repr(_digest(node)).encode(),
-                             digest_size=8)
-        print(f"{workload}: digest {digest}")
-    # stdout carries only the digests, so ``cmp cold.out warm.out``
-    # proves byte-identical results across the two processes.
-    print(f"{which} phase OK", file=sys.stderr)
-
-
 if __name__ == "__main__":
     import sys
     if "--quick" in sys.argv:
         _quick()
-    elif "--phase" in sys.argv:
-        _phase(sys.argv[sys.argv.index("--phase") + 1])
     else:
-        raise SystemExit(
-            "run under pytest, or pass --quick / --phase cold|warm")
+        raise SystemExit("run under pytest, or pass --quick")

@@ -101,9 +101,8 @@ def _flags_logic(res: int) -> int:
 #: Member cap per trace block: bounds how far the exact-stop fallback
 #: (see :meth:`AvrCpu.run`) may have to single-step near a limit; 48
 #: covers every hot loop in the benchmark suite.  An AvrCpu reads it
-#: when constructed, so a test can set it.  It is in neither the shared
-#: cache's nor the trace store's key: a CPU built under another cap
-#: must use a private cache and no store.
+#: when constructed, so a test can set it.  It is not in the shared
+#: cache's key: a CPU built under another cap must use a private cache.
 _MAX_BLOCK = 48
 
 
@@ -144,7 +143,7 @@ class SuperblockCache:
         self.groups: dict = {}  # (base_key, pc) -> {spec_key: block}
         self.max_groups = max_groups
         self.hits = 0
-        self.misses = 0  # lookups a load or a compile followed
+        self.misses = 0  # lookups a compile followed
         #: (base_key, pc, spec_key) -> times actually compiled; the
         #: exactly-once sharing property asserts max(...) == 1.
         self.compile_counts: dict = {}

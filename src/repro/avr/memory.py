@@ -37,8 +37,8 @@ class Flash:
     def add_burn_listener(self, listener) -> None:
         """Call *listener()* after every :meth:`load` (re-burn).
 
-        Attached CPUs use this to drop decoded thunks and fused
-        superblocks whose flash words just changed.
+        Attached CPUs use this to drop decoded thunks and compiled
+        traces whose flash words just changed.
         """
         self._burn_listeners.append(listener)
 
@@ -62,9 +62,9 @@ class Flash:
         """Content hash of the full image, computed lazily per burn
         (once for every flash that shares this one's memo).
 
-        Keys the process-wide superblock translation cache: nodes whose
-        flash hashes equal share compiled superblocks (N identical nodes
-        in a network compile each hot block once).
+        Keys the process-wide trace cache: nodes whose flash hashes
+        equal share compiled traces (N identical nodes in a network
+        compile each hot trace once).
         """
         memo = self._fingerprint
         if memo[0] is None:

@@ -3,8 +3,8 @@
 With ``fuse=True`` every dispatch entry of :meth:`AvrCpu._fuse_block`
 is a trace compiled here, once its head is hot: a head runs on the
 stepwise oracle (``AvrCpu.step``) until its ``TIER_UP``-th dispatch
-(:meth:`TraceCompiler.hot`), unless a cached or stored trace can serve
-it at once.  A trace is the head block plus the blocks its direct
+(:meth:`TraceCompiler.hot`), unless a cached trace can serve it at
+once.  A trace is the head block plus the blocks its direct
 transfers chain into (unconditional jumps, conditional branches,
 ``SBRS``/``SBRC`` skips, and the specialized trap fast paths), as one
 ``exec``-compiled closure, so a hot loop executes with locals-only
@@ -61,43 +61,34 @@ due event.  Direct accesses to SP or SREG (which the trace shadows in
 ``sr``) end a trace like any other unchainable terminator.
 
 Compiled traces are shared across CPUs through the in-process
-:class:`~repro.avr.cpu.SuperblockCache` (key-prefixed ``"trace"``) and,
-when a :class:`TraceStore` is configured, persisted to disk as *source*
-plus the per-site specialization keys — never code objects — keyed by
-flash fingerprint, memory size and trap ranges.  A warm process compiles
-nothing: it recompiles the stored source, which is cheap and versioned;
-corrupt, stale or mismatched entries fall back to a clean recompile.
+:class:`~repro.avr.cpu.SuperblockCache`, keyed by flash fingerprint,
+memory size, trap ranges and head pc, with one variant per composite
+specialization key.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..analysis.static.liveness import sreg_effects
-from ..fingerprint import content_key
 from ..errors import InvalidInstruction, MemoryFault
 from . import ioports
 from .cpu import (_ASR_TABLE, _DEC_TABLE, _INC_TABLE, _LOGIC_TABLE,
-                  _LSR_TABLE, _NEG_TABLE, _ROR_TABLES, _CachedBlock,
-                  _add_table, _sub_row, _sub_table)
+                  _LSR_TABLE, _NEG_TABLE, _ROR_TABLES, _CachedBlock)
 from .isa import written_registers
 
 #: Maximum chained blocks per trace (bounds compile time and the code
 #: size of the generated closure; loops longer than this still trace —
 #: the tail exit re-enters the dispatch loop, which starts a new trace).
+#: Not in the shared cache's key, like ``cpu._MAX_BLOCK``: a test that
+#: sets it must use a private cache.
 _MAX_TRACE_BLOCKS = 8
 
 #: Strip-mining cap: bounds a single uninterrupted run of a self-loop
 #: (16M iterations) so ``im`` stays a small int even under infinite run
 #: limits.
 _MAX_STRIP = 16_777_216
-
-#: On-disk artifact format version; any change to the generated source
-#: conventions or the artifact schema must bump this.
-STORE_VERSION = 7
 
 #: Tier-up threshold: a trace head runs on the stepwise oracle for its
 #: first ``TIER_UP - 1`` dispatches and compiles on dispatch number
@@ -122,9 +113,6 @@ class TraceStats:
     compiled: int = 0      # traces compiled from scratch (hot heads)
     declined: int = 0      # always 0: every hot head compiles to a trace
     cache_hits: int = 0    # rebinds served by the in-process cache
-    store_hits: int = 0    # recompiles served by the persistent store
-    store_misses: int = 0  # store lookups that found no usable artifact
-                           # (one per compile under a store)
     lines: int = 0         # generated source lines of the compiled traces
     stepped: int = 0       # dispatches of cold heads, served by step()
 
@@ -138,34 +126,6 @@ def _base_ns(cpu) -> dict:
         "lsrf": _LSR_TABLE, "asrf": _ASR_TABLE, "negf": _NEG_TABLE,
         "rorf0": _ROR_TABLES[0], "rorf1": _ROR_TABLES[1],
     }
-
-
-#: Flag tables a fused member binds, by mnemonic -> (prefix, kind, cin).
-#: SUBI/CPI/SBCI also need the immediate operand and are handled apart.
-_TABLE_MNEMONICS = {
-    "ADD": (("t", "add", 0),),
-    "ADC": (("t", "add", 0), ("u", "add", 1)),
-    "SUB": (("t", "sub", 0),),
-    "CP": (("t", "sub", 0),),
-    "SBC": (("t", "sub", 0), ("u", "sub", 1)),
-    "CPC": (("t", "sub", 0), ("u", "sub", 1)),
-}
-
-
-def _build_tables(manifest) -> dict:
-    """Rebuild the site-specific flag tables named by a stored artifact."""
-    tables = {}
-    for entry in manifest:
-        name, kind = entry[0], entry[1]
-        if kind == "add":
-            tables[name] = _add_table(entry[2])
-        elif kind == "sub":
-            tables[name] = _sub_table(entry[2])
-        elif kind == "subrow":
-            tables[name] = _sub_row(entry[2], entry[3])
-        else:
-            raise ValueError(f"unknown table kind {kind!r}")
-    return tables
 
 
 def _ind(lines, depth: int = 1) -> List[str]:
@@ -249,124 +209,6 @@ class _Node:
                                  # that continues to ``cont``
 
 
-#: Default cap on files a :class:`TraceStore` directory may hold; the
-#: ``SENSMART_TRACE_STORE_MAX`` environment variable overrides it.
-_DEFAULT_STORE_MAX_FILES = 256
-
-
-@dataclass
-class TraceStoreStats:
-    """On-disk store traffic, shown by ``sensmart run --stats``."""
-
-    writes: int = 0     # files written (one per image, rewritten per put)
-    evictions: int = 0  # files removed to enforce the size bound
-    corrupt: int = 0    # files present but unusable (bad JSON, version
-                        # or fingerprint mismatch) — served as misses
-
-
-class TraceStore:
-    """Persistent compiled-trace artifacts, one JSON file per image.
-
-    Artifacts are generated Python *source* plus the data needed to
-    rebind it (flag-table manifest, chained trap sites, composite spec
-    key) — never pickled code objects, so the store is portable across
-    Python versions and a stale or corrupt file can always be ignored.
-    Writes are atomic (temp file + ``os.replace``) and best-effort: an
-    unwritable store degrades to a per-process compile, never an error.
-
-    The directory is bounded: at most *max_files* image files live in
-    it, evicted LRU-ish by modification time (every load of a file
-    refreshes its mtime, so hot images survive and the fleet's
-    long-dead images age out).
-    """
-
-    def __init__(self, path: str, max_files: Optional[int] = None):
-        self.path = path
-        if max_files is None:
-            try:
-                max_files = int(os.environ.get(
-                    "SENSMART_TRACE_STORE_MAX", _DEFAULT_STORE_MAX_FILES))
-            except ValueError:
-                max_files = _DEFAULT_STORE_MAX_FILES
-        self.max_files = max_files
-        self.stats = TraceStoreStats()
-        self._cache: Dict[str, dict] = {}  # filename -> traces dict
-
-    def _file_for(self, base) -> str:
-        fingerprint, mem_size, trap_ranges = base
-        tag = content_key(trap_ranges, digest_size=6)
-        return os.path.join(self.path,
-                            f"{fingerprint[:24]}_{mem_size}_{tag}.json")
-
-    def load(self, base) -> dict:
-        """``{str(pc): {repr(spec_key): artifact}}`` for *base* (may be
-        empty).  Any read error — missing file, bad JSON, version or
-        fingerprint mismatch — is a miss, never an exception."""
-        filename = self._file_for(base)
-        traces = self._cache.get(filename)
-        if traces is None:
-            traces = self._read(filename, base)
-            self._cache[filename] = traces
-            try:
-                os.utime(filename)  # LRU touch: this image is in use
-            except OSError:
-                pass
-        return traces
-
-    def _read(self, filename: str, base) -> dict:
-        try:
-            with open(filename, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except OSError:
-            return {}
-        except ValueError:
-            self.stats.corrupt += 1
-            return {}
-        if not isinstance(payload, dict) \
-                or payload.get("version") != STORE_VERSION \
-                or payload.get("fingerprint") != base[0]:
-            # The filename truncates the fingerprint, so it is verified
-            # here; a mismatch of any part means the file is unusable.
-            self.stats.corrupt += 1
-            return {}
-        traces = payload.get("traces")
-        return traces if isinstance(traces, dict) else {}
-
-    def put(self, base, pc: int, key_repr: str, artifact: dict) -> None:
-        traces = self.load(base)
-        traces.setdefault(str(pc), {})[key_repr] = artifact
-        payload = {"version": STORE_VERSION, "fingerprint": base[0],
-                   "traces": traces}
-        filename = self._file_for(base)
-        try:
-            os.makedirs(self.path, exist_ok=True)
-            tmp = filename + ".tmp"
-            with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle)
-            os.replace(tmp, filename)
-            self.stats.writes += 1
-            self._evict(keep=filename)
-        except OSError:
-            pass  # best-effort: a read-only store still serves loads
-
-    def _evict(self, keep: str) -> None:
-        """Drop the oldest files once the directory exceeds the bound
-        (never the file just written)."""
-        try:
-            entries = [os.path.join(self.path, name)
-                       for name in os.listdir(self.path)
-                       if name.endswith(".json")]
-            if len(entries) <= self.max_files:
-                return
-            entries.sort(key=lambda p: (p != keep, -os.path.getmtime(p)))
-            for victim in entries[self.max_files:]:
-                os.remove(victim)
-                self._cache.pop(victim, None)
-                self.stats.evictions += 1
-        except OSError:
-            pass
-
-
 class TraceCompiler:
     """Assembles, compiles, caches and rebinds traces.
 
@@ -378,13 +220,10 @@ class TraceCompiler:
     cover the rest.
     """
 
-    def __init__(self, cpu, specializer=None, store: Optional[TraceStore]
-                 = None, max_blocks: int = _MAX_TRACE_BLOCKS):
+    def __init__(self, cpu, specializer=None):
         self.cpu = cpu
         self.specializer = specializer
-        self.store = store
         self.stats = TraceStats()
-        self.max_blocks = max_blocks
         #: Start of every block chained behind the head of a trace this
         #: compiler built: the pcs a seam exit can leave the dispatch
         #: loop at, mid-loop (cache priming fuses them ahead of time).
@@ -400,28 +239,26 @@ class TraceCompiler:
         """Whether the dispatch at *pc* gets a trace entry now.
 
         Heat gates compilation only, never a bind: a head with a group
-        in the shared cache, or one whose first dispatch in its heat
-        scope finds a matching store artifact, is hot at once.
-        Otherwise the dispatch counts toward ``TIER_UP``; a cold one
-        returns False, counts in ``stats.stepped`` and runs on the
-        stepwise oracle.  A head that got a trace stays hot: on a
-        shared cache its group says so (a head whose group the FIFO
-        bound evicts warms up again), on a private one its heat turns
-        ``_HOT``.  Cold dispatches stay outside :meth:`entry_for`,
-        which is called only when a bind or a compile follows.
+        in the shared cache is hot at once.  Otherwise the dispatch
+        counts toward ``TIER_UP``; a cold one returns False, counts in
+        ``stats.stepped`` and runs on the stepwise oracle.  A head that
+        got a trace stays hot: on a shared cache its group says so (a
+        head whose group the FIFO bound evicts warms up again), on a
+        private one its heat turns ``_HOT``.  Cold dispatches stay
+        outside :meth:`entry_for`, which is called only when a bind or
+        a compile follows.
         """
         base = self.cpu._cache_base()
         if base is None:
             heat, key = self._heat, pc
         else:
             cache = self.cpu._block_cache
-            key = (("trace",) + base, pc)
+            key = (base, pc)
             if key in cache.groups:
                 return True
             heat = cache.heat
         count = heat.get(key, 0) + 1
-        if count < TIER_UP and not (count == 1 and self.store is not None
-                                    and self._stored(pc)):
+        if count < TIER_UP:
             self.stats.stepped += 1
             if base is None:
                 heat[key] = count
@@ -439,7 +276,7 @@ class TraceCompiler:
         mem_base = cpu._cache_base()
         if mem_base is not None:
             cache = cpu._block_cache
-            group = cache.groups.get((("trace",) + mem_base, pc))
+            group = cache.groups.get((mem_base, pc))
             if group:
                 for block in group.values():
                     resolved = self._resolve_sites(block.trap)
@@ -450,23 +287,12 @@ class TraceCompiler:
                     _, task, kinds = resolved
                     return self._rebind(block, task, kinds)
             cache.misses += 1
-        if self.store is not None:
-            entry = self._from_store(pc, mem_base)
-            if entry is not None:
-                return entry
         return self._compile(pc, mem_base)
 
-    # -- cache / store plumbing ---------------------------------------------------
-
-    def _store_base(self):
-        """Store key: computed fresh so the persistent store works even
-        when in-process block sharing is disabled."""
-        cpu = self.cpu
-        return (cpu.flash.fingerprint(), cpu.mem.size,
-                tuple(cpu._trap_ranges))
+    # -- cache plumbing -----------------------------------------------------------
 
     def _resolve_sites(self, sites):
-        """Current ``(composite_key, owner, kinds)`` for a stored site
+        """Current ``(composite_key, owner, kinds)`` for a cached site
         list, or None when any site can no longer be specialized the
         same way (kind retired, task dead, region gone, owner mismatch).
 
@@ -504,82 +330,17 @@ class TraceCompiler:
         exec(block.code, ns)
         return (ns["_blk"], block.icount, block.cost)
 
-    def _stored_traces(self, pc: int) -> dict:
-        """The store's ``{repr(spec_key): artifact}`` for *pc*."""
-        return self.store.load(self._store_base()).get(str(pc)) or {}
-
-    def _stored(self, pc: int) -> bool:
-        """Whether the store holds an artifact for *pc* that matches
-        the current specialization constants."""
-        return any(self._match(key_repr, artifact) is not None
-                   for key_repr, artifact
-                   in self._stored_traces(pc).items())
-
-    def _from_store(self, pc: int, mem_base):
-        for key_repr, artifact in self._stored_traces(pc).items():
-            entry = self._load_artifact(pc, mem_base, key_repr, artifact)
-            if entry is not None:
-                return entry
-        self.stats.store_misses += 1
-        return None
-
-    def _match(self, key_repr, artifact):
-        """``(sites, key, task, kinds)`` when *artifact* was compiled
-        under the current specialization constants, else None (also
-        when its site list is corrupt)."""
-        try:
-            sites = tuple((int(s), int(t), bool(c))
-                          for s, t, c in artifact["sites"])
-            resolved = self._resolve_sites(sites)
-        except (KeyError, IndexError, TypeError, ValueError):
-            return None
-        if resolved is None or repr(resolved[0]) != key_repr:
-            return None
-        return (sites,) + resolved
-
-    def _load_artifact(self, pc, mem_base, key_repr, artifact):
-        """Recompile one stored artifact, or None when it does not match
-        the current specialization constants or is corrupt in any way."""
-        matched = self._match(key_repr, artifact)
-        if matched is None:
-            return None
-        sites, key, task, kinds = matched
-        try:
-            tables = _build_tables(artifact["tables"])
-            source = artifact["source"]
-            if not isinstance(source, str):
-                return None
-            icount = int(artifact["icount"])
-            cost = int(artifact["cost"])
-            code = compile(source, f"<trace@{pc:#06x}>", "exec")
-            ns = _base_ns(self.cpu)
-            ns.update(tables)
-            self._bind(ns, task, kinds)
-            exec(code, ns)
-            entry = (ns["_blk"], icount, cost)
-        except (KeyError, IndexError, TypeError, ValueError,
-                SyntaxError):
-            return None  # corrupt artifact: fall back to a recompile
-        self.stats.store_hits += 1
-        if mem_base is not None:
-            self.cpu._block_cache.store(
-                ("trace",) + mem_base, pc,
-                _CachedBlock(code=code, tables=tables, icount=icount,
-                             cost=cost, trap=sites, spec_key=key))
-        return entry
-
     # -- compilation --------------------------------------------------------------
 
     def _compile(self, pc: int, mem_base):
         ns = _base_ns(self.cpu)
-        manifest: List[list] = []
-        nodes, tail = self._assemble(pc, ns, manifest)
+        nodes, tail = self._assemble(pc, ns)
         source = _Emitter(nodes, tail).source()
         sites = tuple((node.facts.site, node.facts.target,
                        node.facts.is_call)
                       for node in nodes if node.facts is not None)
-        # The same resolution re-entry uses, so the stored key is the
-        # one a later rebind or store load composes for these sites.
+        # The same resolution re-entry uses, so the cached key is the
+        # one a later rebind composes for these sites.
         key, task, kinds = self._resolve_sites(sites)
         code = compile(source, f"<trace@{pc:#06x}>", "exec")
         self.stats.lines += source.count("\n") + 1
@@ -598,18 +359,12 @@ class TraceCompiler:
                   if name[0] in "tu" and name[1:].isdigit()}
         if mem_base is not None:
             self.cpu._block_cache.store(
-                ("trace",) + mem_base, pc,
+                mem_base, pc,
                 _CachedBlock(code=code, tables=tables, icount=icount,
                              cost=head.cost, trap=sites, spec_key=key))
-        if self.store is not None:
-            artifact = {"source": source, "icount": icount,
-                        "cost": head.cost,
-                        "sites": [list(site) for site in sites],
-                        "tables": manifest}
-            self.store.put(self._store_base(), pc, repr(key), artifact)
         return entry
 
-    def _assemble(self, head: int, ns: dict, manifest):
+    def _assemble(self, head: int, ns: dict):
         """Walk the chain of blocks starting at *head*.
 
         Returns ``(nodes, tail)``.  ``tail`` is ``("backedge",)`` when
@@ -627,10 +382,10 @@ class TraceCompiler:
             if cur in starts:
                 tail = ("backedge",) if cur == head else ("exit", cur)
                 break
-            if len(nodes) >= self.max_blocks:
+            if len(nodes) >= _MAX_TRACE_BLOCKS:
                 tail = ("exit", cur)
                 break
-            node = self._build_node(cur, ns, manifest, uid, not nodes)
+            node = self._build_node(cur, ns, uid, not nodes)
             if node is None:
                 tail = ("exit", cur)
                 break
@@ -648,8 +403,7 @@ class TraceCompiler:
             cur = node.cont
         return nodes, tail
 
-    def _build_node(self, start: int, ns: dict, manifest, uid,
-                    head: bool):
+    def _build_node(self, start: int, ns: dict, uid, head: bool):
         """Fuse members from *start* and classify the terminator.
 
         A block that cannot be chained (terminator with dynamic or
@@ -680,7 +434,6 @@ class TraceCompiler:
                 return node
             effect, flags, cycles, touches, preds = parts
             reads, writes = sreg_effects(ins.mnemonic, ins.operands)
-            self._note_tables(ins, uid[0], manifest)
             uid[0] += 1
             members.append(_Member(effect, flags, cycles, touches,
                                    preds, reads, writes, ins))
@@ -691,19 +444,6 @@ class TraceCompiler:
         node.kind = "cut"
         node.target = cur
         return node
-
-    @staticmethod
-    def _note_tables(ins, uid: int, manifest) -> None:
-        m = ins.mnemonic
-        entries = _TABLE_MNEMONICS.get(m)
-        if entries is not None:
-            for prefix, kind, cin in entries:
-                manifest.append([f"{prefix}{uid}", kind, cin])
-        elif m in ("SUBI", "CPI"):
-            manifest.append([f"t{uid}", "subrow", ins.operands[1], 0])
-        elif m == "SBCI":
-            manifest.append([f"t{uid}", "subrow", ins.operands[1], 0])
-            manifest.append([f"u{uid}", "subrow", ins.operands[1], 1])
 
     def _classify(self, ins, start: int, members):
         cpu = self.cpu

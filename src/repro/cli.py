@@ -197,8 +197,7 @@ def _print_jit_stats(node) -> None:
     if tracer is not None:
         t = tracer.stats
         print(f"  tracer: {t.compiled} compiled ({t.lines} lines),"
-              f" {t.cache_hits} cache hits, {t.store_hits} store hits,"
-              f" {t.store_misses} store misses, {t.stepped} stepped")
+              f" {t.cache_hits} cache hits, {t.stepped} stepped")
     counts = kernel.stats.trap_counts
     if counts:
         tally = ", ".join(f"{kind.name}={count}"
@@ -518,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--max-instructions", type=int,
                      default=100_000_000)
     run.add_argument("--json", action="store_true",
-                     help="emit the sensmart-run/1 JSON report "
+                     help="emit the sensmart-run/2 JSON report "
                           "instead of text")
     run.set_defaults(func=_cmd_run)
 

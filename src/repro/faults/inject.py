@@ -11,10 +11,10 @@ of impact (regions move, tasks die).
 
 Injected SRAM flips bump the owning task's ``region_epoch`` via
 ``SenSmartKernel._on_region_change`` — specialized trap code guards on
-that epoch, so a flip landing under a specialized superblock forces a
-deopt back to generic dispatch instead of running stale assumptions.
-Flash flips go through ``Flash.load``, which fires the burn listeners
-and drops decoded thunks/fused blocks covering the changed word.
+that epoch, so a flip landing under a specialized trace forces a deopt
+back to generic dispatch instead of running stale assumptions.  Flash
+flips go through ``Flash.load``, which fires the burn listeners and
+drops decoded thunks/compiled traces covering the changed word.
 
 Crashes halt the CPU; :meth:`FaultInjector.service` reboots crashed
 nodes (cold restart, persisted network time), resets the TX cursors of

@@ -1,9 +1,8 @@
 """Content fingerprints: the one blake2b helper for every cache key.
 
-Three subsystems key caches by content — the flash image fingerprint
-behind the cross-CPU :class:`~repro.avr.cpu.SuperblockCache`, the
-persistent :class:`~repro.avr.trace.TraceStore` filenames, and the
-build pipeline's per-stage artifact keys.  They all hash here, so a key
+Two subsystems key caches by content — the flash image fingerprint
+behind the cross-CPU :class:`~repro.avr.cpu.SuperblockCache`, and the
+build pipeline's per-stage artifact keys.  They both hash here, so a key
 is stable across refactors exactly when this module is stable (the
 pinned digests in ``tests/test_fingerprint.py`` enforce that), and a
 deliberate format change is one :data:`KEY_VERSION` bump away from

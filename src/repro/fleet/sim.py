@@ -28,9 +28,9 @@ through the very same :class:`~repro.fleet.shard.ShardRuntime`).
 Workers are **pre-forked warm**: before forking, the coordinator runs
 a priming pass — one scratch node per distinct program image (keyed by
 flash fingerprint), fed a few radio bytes so receive paths get hot —
-which populates the process-wide superblock cache the forked children
+which populates the process-wide trace cache the forked children
 inherit copy-on-write; N identical nodes across all shards then
-compile each hot block exactly once, in one process.
+compile each hot trace exactly once, in one process.
 
 Timing: the container running the benchmark may have a single CPU, so
 besides wall-clock the result reports per-process CPU seconds and a
@@ -207,8 +207,8 @@ def _prime(spec: FleetSpec, prime_cycles: int) -> Tuple[int, float]:
         # node also visits the "drained mid-stream, spinning on an
         # empty queue" states a real relay sees between hops — and run
         # in horizon-sized slices: the network scheduler interrupts
-        # nodes at link-latency horizons, which creates superblock
-        # entry points mid-loop that an uninterrupted run never forms.
+        # nodes at link-latency horizons, which creates trace entry
+        # points mid-loop that an uninterrupted run never forms.
         fed = SensorNode.from_sources(
             list(sources), adc_seed=derive_scratch_seed(spec.seed))
         half = max(1, len(payload) // 2)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from ..avr import ioports
 
@@ -69,11 +68,6 @@ class KernelConfig:
     #: time and every trap takes the generic dispatch/translate chain:
     #: the stepwise oracle.  Results are bit-identical.
     fuse: bool = True
-
-    #: Directory for the persistent compiled-trace store; None disables
-    #: persistence (the ``SENSMART_TRACE_STORE`` environment variable is
-    #: the fallback when unset).
-    trace_store: Optional[str] = None
 
     #: Run the rewriter-soundness linter (``sensmart lint``) over the
     #: image inside ``link_image`` when building a node, so every run is

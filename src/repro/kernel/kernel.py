@@ -110,16 +110,10 @@ class SenSmartKernel:
         self.specializer = None
         self.tracer = None
         if self.config.fuse:
-            import os
-
-            from ..avr.trace import TraceCompiler, TraceStore
+            from ..avr.trace import TraceCompiler
             from .specialize import TrapSpecializer
             self.specializer = TrapSpecializer(self)
-            store_path = self.config.trace_store or \
-                os.environ.get("SENSMART_TRACE_STORE")
-            store = TraceStore(store_path) if store_path else None
-            self.tracer = TraceCompiler(self.cpu, self.specializer,
-                                        store=store)
+            self.tracer = TraceCompiler(self.cpu, self.specializer)
             self.cpu.set_tracer(self.tracer)
 
         self.tasks: Dict[int, Task] = {}
@@ -277,7 +271,7 @@ class SenSmartKernel:
         """A task's periodic virtual timer came due (event callback).
 
         Fires ride the CPU's event queue, so they land at the exact due
-        cycle (at the next instruction/superblock boundary) instead of
+        cycle (at the next instruction or block boundary) instead of
         waiting for a scheduler tick.  A fire wakes a blocked task — the
         fire is consumed by the wake-up itself — or accumulates in
         ``timer_pending`` for a running/ready one, then re-arms for the

@@ -30,6 +30,9 @@ class AccessClass(enum.Enum):
     HEAP = "heap"
     STACK = "stack"
 
+    #: Keys the per-access charge lookup; see ``PatchKind.__hash__``.
+    __hash__ = object.__hash__
+
 
 class AddressTranslator:
     """Per-node translation logic parameterized by the kernel config."""

@@ -109,11 +109,7 @@ class Pipeline:
         if self.config is None:
             return None
         from dataclasses import asdict
-        parts = asdict(self.config)
-        # The trace store is a pure performance knob: artifacts are
-        # bit-identical with or without it.
-        parts.pop("trace_store", None)
-        return parts
+        return asdict(self.config)
 
     def stage_keys(self, request: BuildRequest) -> Dict[str, str]:
         chained = content_key("pipeline", request.content_key(),

@@ -12,9 +12,9 @@ from __future__ import annotations
 from ..fingerprint import content_key
 
 #: Schema tags, versioned independently of the store formats.
-VERDICT_SCHEMA = "sensmart-verdict/2"
+VERDICT_SCHEMA = "sensmart-verdict/3"
 LINT_SCHEMA = "sensmart-lint/2"
-RUN_SCHEMA = "sensmart-run/1"
+RUN_SCHEMA = "sensmart-run/2"
 SERVE_STATS_SCHEMA = "sensmart-serve-stats/1"
 FLEET_SCHEMA = "sensmart-fleet/1"
 CHAOS_SCHEMA = "sensmart-chaos/1"
@@ -170,8 +170,8 @@ def run_report_dict(node) -> dict:
 
 
 def jit_stats_dict(node) -> dict:
-    """Block-cache / specializer / tracer / trace-store counters
-    (the JSON twin of the ``sensmart run --stats`` text block)."""
+    """Block-cache / specializer / tracer counters (the JSON twin of the
+    ``sensmart run --stats`` text block)."""
     kernel = node.kernel
     out: dict = {}
     cache = node.cpu._block_cache
@@ -191,15 +191,7 @@ def jit_stats_dict(node) -> dict:
         out["tracer"] = {"compiled": t.compiled,
                          "lines": t.lines,
                          "cache_hits": t.cache_hits,
-                         "store_hits": t.store_hits,
-                         "store_misses": t.store_misses,
                          "stepped": t.stepped}
-        if tracer.store is not None:
-            st = tracer.store.stats
-            out["trace_store"] = {"writes": st.writes,
-                                  "evictions": st.evictions,
-                                  "corrupt": st.corrupt,
-                                  "max_files": tracer.store.max_files}
     return out
 
 

@@ -219,8 +219,8 @@ class PrecompileStage(Stage):
 
     Never cached: the node is consumed (run) by the simulate stage, so
     a reuse would continue a finished run instead of starting one.  The
-    node gets a *private* superblock cache — sharing the process-wide
-    one would leak cache-warmth into the verdict's jit counters, and a
+    node gets a *private* trace cache — sharing the process-wide one
+    would leak cache-warmth into the verdict's jit counters, and a
     content-addressed artifact must not depend on process history.
     """
 
@@ -242,7 +242,7 @@ class SimulateStage(Stage):
     name = "simulate"
     #: Bumped whenever the JIT counters the report carries change for
     #: the same input, so stored verdicts never serve stale counters.
-    version = 5
+    version = 6
     persistent = True
 
     def run(self, pipeline, request, ctx):

@@ -51,6 +51,11 @@ class PatchKind(enum.Enum):
     TASK_EXIT = "task-exit"           # BREAK (terminate task)
     TIMER3_IO = "timer3-io"           # access to the reserved Timer3 block
 
+    #: Members key the per-kind trap counts every trap updates, and
+    #: ``Enum.__hash__`` is a Python-level call.  Members are singletons
+    #: compared by identity, so the C identity hash keys them the same.
+    __hash__ = object.__hash__
+
 
 def _static_data_address(instruction: Instruction) -> Optional[int]:
     """Data-space address accessed, when statically known."""

@@ -8,8 +8,8 @@ breaks ties so same-cycle events fire in scheduling order, which keeps
 multi-event runs deterministic.
 
 The queue deliberately exposes ``next_due`` as a *plain attribute*
-rather than a method: the CPU's dispatch loops (and the superblock
-fuser's self-looping blocks) read it once per block, and an attribute
+rather than a method: the CPU's dispatch loops read it once per block
+(a trace once at entry and after each device access), and an attribute
 load is the cheapest thing Python can do.  ``schedule``, ``cancel`` and
 ``run_due`` keep it tight.
 

@@ -37,6 +37,22 @@ def tier_up_at_once(request):
         trace.TIER_UP = saved
 
 
+@pytest.fixture
+def emitted_traces(monkeypatch):
+    """``(emitter, source)`` of every trace compiled while the test
+    runs, in compile order (rebinds emit nothing)."""
+    captured = []
+    source = trace._Emitter.source
+
+    def capture(emitter):
+        text = source(emitter)
+        captured.append((emitter, text))
+        return text
+
+    monkeypatch.setattr(trace._Emitter, "source", capture)
+    return captured
+
+
 def run_asm(source: str, max_instructions: int = 1_000_000,
             devices=(), origin: int = 0) -> AvrCpu:
     """Assemble *source*, run it natively until BREAK, return the CPU."""

@@ -124,7 +124,7 @@ def test_run_json_report(blink_file, capsys):
     import json
     assert main(["run", blink_file, "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["schema"] == "sensmart-run/1"
+    assert report["schema"] == "sensmart-run/2"
     assert report["run"]["finished"] is True
     assert "blink" in report["run"]["tasks"]
     assert "trace_digest" in report["run"]
@@ -135,7 +135,7 @@ def test_run_json_stats_report(blink_file, capsys):
     import json
     assert main(["run", blink_file, "--json", "--stats"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["schema"] == "sensmart-run/1"
+    assert report["schema"] == "sensmart-run/2"
     assert "block_cache" in report["jit"]
     tracer = report["jit"]["tracer"]
     # Generated lines count only traces compiled from scratch.
@@ -160,7 +160,8 @@ main:
     assert "terminations: FAULT=1" in out
     assert "fault kinds: oob=1" in out
     assert " lines), " in out
-    assert re.search(r"store misses, \d+ stepped", out)
+    assert re.search(r"tracer: \d+ compiled \(\d+ lines\), \d+ cache hits,"
+                     r" \d+ stepped", out)
 
 
 def test_run_json_stats_containment(blink_file, capsys):

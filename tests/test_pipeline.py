@@ -163,16 +163,6 @@ def test_stage_keys_are_stable_and_discriminating():
     assert keys["verdict"] != other.stage_keys(r1)["verdict"]
 
 
-def test_trace_store_path_does_not_change_keys(tmp_path):
-    """The trace store is a performance knob, not a semantic input."""
-    from dataclasses import replace
-    from repro.kernel.config import KernelConfig
-    base = KernelConfig()
-    with_store = replace(base, trace_store=str(tmp_path))
-    assert Pipeline(config=base).stage_keys(_request()) == \
-        Pipeline(config=with_store).stage_keys(_request())
-
-
 # -- cache correctness -----------------------------------------------------------
 
 def test_cold_submission_produces_a_verdict():

@@ -1,6 +1,6 @@
 """Trace JIT: traces must be an invisible speed knob.
 
-Eight angles:
+Seven angles:
 
 * differential bit-identity — the paper workloads retire identical
   architectural and kernel state traced and stepwise;
@@ -14,9 +14,6 @@ Eight angles:
   first compiled, across relocation, unload and dynamic load;
 * the exit protocol — every exit of every trace shape breaks to one
   epilogue, the only place a trace writes its state back;
-* the persistent store — a warm process compiles nothing and
-  reproduces the cold digest byte for byte; corrupt or mismatched
-  store files fall back to a clean recompile;
 * tier-up — cold heads step and only hot ones compile, with the same
   outcome; heat gates compiles, never binds, lives per node on a
   private cache, is bounded on the shared one, and a head stays hot;
@@ -24,13 +21,6 @@ Eight angles:
 """
 
 from __future__ import annotations
-
-import json
-import os
-import subprocess
-import sys
-import time
-from pathlib import Path
 
 import pytest
 
@@ -571,20 +561,11 @@ def _exit_kinds(emitter):
 
 
 @pytest.mark.tier_up_at_once
-def test_every_exit_breaks_to_one_write_back(monkeypatch):
+def test_every_exit_breaks_to_one_write_back(monkeypatch, emitted_traces):
     """Each trace writes its shadowed state back once, in the epilogue
     every exit breaks to: its only ``return`` is the deopt arm's, which
     runs before the trace loop.  ``TraceStats.lines`` counts exactly the
     generated lines compiled."""
-    captured = []
-    source = trace._Emitter.source
-
-    def capture(emitter):
-        text = source(emitter)
-        captured.append((emitter, text))
-        return text
-
-    monkeypatch.setattr(trace._Emitter, "source", capture)
     monkeypatch.setattr(avr_cpu, "_MAX_BLOCK", 8)
     node = _boot([("shapes", _EXIT_SHAPES), ("spin", _SPIN_FOREVER),
                   ("empty", _POP_EMPTY)])
@@ -593,19 +574,20 @@ def test_every_exit_breaks_to_one_write_back(monkeypatch):
     assert node.task_named("empty").exit_reason.startswith("fault")
     assert node.kernel.stats.relocations > 0
 
-    kinds = set().union(*(_exit_kinds(emitter) for emitter, _ in captured))
+    kinds = set().union(*(_exit_kinds(emitter)
+                          for emitter, _ in emitted_traces))
     assert kinds >= {"seam", "two-way", "strip", "counter strip",
                      "MEM_INDIRECT slow", "STACK_PUSH slow",
                      "STACK_POP slow", "CALL_DIRECT slow", "head thunk",
                      "head cut"}
-    for _, text in captured:
+    for _, text in emitted_traces:
         lines = [line.strip() for line in text.splitlines()]
         assert lines.count("cpu.cycles = cy") == 1, text
         returns = [i for i, line in enumerate(lines) if line == "return"]
         assert returns == [] or (len(returns) == 1 and returns[0]
                                  < lines.index("while True:")), text
     assert node.kernel.tracer.stats.lines == sum(
-        text.count("\n") + 1 for _, text in captured)
+        text.count("\n") + 1 for _, text in emitted_traces)
 
 
 # -- re-entry through the shared cache ------------------------------------------
@@ -667,81 +649,6 @@ def test_shared_cache_rebinds_traces_across_relocation_and_reload():
     assert max(cache.compile_counts.values()) == 1
 
 
-# -- the persistent store -------------------------------------------------------
-
-_STORE_DRIVER = """
-import json, sys
-from repro.kernel import SensorNode
-
-source = '''{source}'''
-node = SensorNode.from_sources([("spin", source)], block_cache=False)
-node.run(max_instructions=5_000_000)
-assert node.finished
-stats = node.kernel.tracer.stats
-print(json.dumps({{
-    "compiled": stats.compiled,
-    "store_hits": stats.store_hits,
-    "instret": node.cpu.instret,
-    "cycles": node.cpu.cycles,
-    "mem": node.cpu.mem.data.hex(),
-}}))
-"""
-
-
-def _store_run(tmp_path, store_dir):
-    script = _STORE_DRIVER.format(source=_SPIN_STACK)
-    env = dict(os.environ, SENSMART_TRACE_STORE=str(store_dir),
-               PYTHONPATH=str(Path(__file__).resolve().parent.parent
-                              / "src"))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout)
-
-
-def test_store_round_trip_warm_process_compiles_nothing(tmp_path):
-    store = tmp_path / "traces"
-    cold = _store_run(tmp_path, store)
-    assert cold["compiled"] > 0
-    files = list(store.glob("*.json"))
-    assert files, "cold run persisted no artifacts"
-    warm = _store_run(tmp_path, store)
-    assert warm["compiled"] == 0
-    assert warm["store_hits"] > 0
-    assert warm == dict(cold, compiled=0,
-                        store_hits=warm["store_hits"])
-
-
-def test_store_corruption_falls_back_to_clean_recompile(tmp_path):
-    store = tmp_path / "traces"
-    cold = _store_run(tmp_path, store)
-    (file,) = store.glob("*.json")
-
-    # Outright garbage: unreadable JSON.
-    pristine = file.read_text()
-    file.write_text("{ not json")
-    garbage = _store_run(tmp_path, store)
-    assert garbage["compiled"] == cold["compiled"]
-    assert garbage["mem"] == cold["mem"]
-
-    # Valid JSON, wrong version: versioned artifacts are ignored.
-    payload = json.loads(pristine)
-    payload["version"] = 999
-    file.write_text(json.dumps(payload))
-    stale = _store_run(tmp_path, store)
-    assert stale["compiled"] == cold["compiled"]
-    assert stale["mem"] == cold["mem"]
-
-    # Truncated artifact source: per-entry fallback, state unharmed.
-    payload = json.loads(pristine)
-    for entries in payload["traces"].values():
-        for artifact in entries.values():
-            artifact["source"] = "def _blk(:\n"
-    file.write_text(json.dumps(payload))
-    broken = _store_run(tmp_path, store)
-    assert broken["compiled"] == cold["compiled"]
-    assert broken["mem"] == cold["mem"]
-
-
 # -- SREG liveness masks --------------------------------------------------------
 
 def test_sreg_effects_masks():
@@ -764,104 +671,20 @@ def test_ret_leaks_all_flags_to_the_caller():
     assert reads == ALL_FLAGS and writes == 0
 
 
-def test_strip_elision_keeps_flag_tables_out_of_the_hot_loop():
+def test_strip_elision_keeps_flag_tables_out_of_the_hot_loop(
+        emitted_traces):
     """The SPIN inner loop's ADIW flags feed only its own BRNE: the
     strip-mined body must test the result predicate directly, with the
     flag materialization hoisted to the strip exits."""
-    import repro.avr.trace as trace_mod
-
-    captured = {}
-    original = trace_mod._Emitter.source
-
-    def capture(self):
-        text = original(self)
-        captured[self.head_addr] = text
-        return text
-
-    trace_mod._Emitter.source = capture
-    try:
-        node = _boot([("spin", _SPIN_STACK)])
-        node.run(max_instructions=300_000)
-    finally:
-        trace_mod._Emitter.source = original
-    strip_sources = [text for text in captured.values()
+    node = _boot([("spin", _SPIN_STACK)])
+    node.run(max_instructions=300_000)
+    strip_sources = [text for _, text in emitted_traces
                      if "for j in range(1, im + 1):" in text]
     assert strip_sources, "inner spin did not strip-mine"
     for text in strip_sources:
         loop = text.split("for j in range(1, im + 1):", 1)[1]
         loop = loop.split("else:", 1)[0]
         assert "sr =" not in loop  # flags elided from the hot body
-
-
-# -- store bounding -------------------------------------------------------------
-
-def _fake_base(tag: int):
-    # the filename keeps only a fingerprint prefix, so vary the front
-    return (f"{tag:02x}" * 16, 4096, ((100, 120),))
-
-
-def test_store_is_bounded_with_lru_eviction(tmp_path):
-    from repro.avr.trace import TraceStore
-    store = TraceStore(str(tmp_path), max_files=3)
-    for tag in range(5):
-        store.put(_fake_base(tag), 0x100, "key", {"source": "pass\n"})
-        time.sleep(0.01)  # distinct mtimes order the eviction
-    files = list(tmp_path.glob("*.json"))
-    assert len(files) == 3
-    assert store.stats.writes == 5
-    assert store.stats.evictions == 2
-    # the survivors are the most recently written images
-    assert store.load(_fake_base(4))
-    assert store.load(_fake_base(0)) == {}
-
-
-def test_store_load_refreshes_mtime_lru(tmp_path):
-    from repro.avr.trace import TraceStore
-    store = TraceStore(str(tmp_path), max_files=2)
-    store.put(_fake_base(0), 0x100, "key", {"source": "pass\n"})
-    time.sleep(0.01)
-    store.put(_fake_base(1), 0x100, "key", {"source": "pass\n"})
-    time.sleep(0.01)
-    # touch image 0 from a fresh store (no warm cache), then add a
-    # third image: image 1 is now the oldest and must be the victim
-    reader = TraceStore(str(tmp_path), max_files=2)
-    assert reader.load(_fake_base(0))
-    time.sleep(0.01)
-    reader.put(_fake_base(2), 0x100, "key", {"source": "pass\n"})
-    assert reader.load(_fake_base(0))
-    assert reader.load(_fake_base(2))
-    fresh = TraceStore(str(tmp_path), max_files=2)
-    assert fresh.load(_fake_base(1)) == {}
-
-
-def test_store_counts_corrupt_files(tmp_path):
-    from repro.avr.trace import TraceStore
-    store = TraceStore(str(tmp_path), max_files=8)
-    store.put(_fake_base(0), 0x100, "key", {"source": "pass\n"})
-    (file,) = tmp_path.glob("*.json")
-    file.write_text("{ not json")
-    fresh = TraceStore(str(tmp_path), max_files=8)
-    assert fresh.load(_fake_base(0)) == {}
-    assert fresh.stats.corrupt == 1
-    # fingerprint mismatch with a valid file also counts
-    file.write_text(json.dumps({"version": 1,
-                                "fingerprint": "f" * 32,
-                                "traces": {}}))
-    fresh2 = TraceStore(str(tmp_path), max_files=8)
-    assert fresh2.load(_fake_base(0)) == {}
-    assert fresh2.stats.corrupt == 1
-
-
-def test_store_max_files_env_override(tmp_path, monkeypatch):
-    from repro.avr import trace as trace_mod
-    monkeypatch.setenv("SENSMART_TRACE_STORE_MAX", "7")
-    assert trace_mod.TraceStore(str(tmp_path)).max_files == 7
-    monkeypatch.setenv("SENSMART_TRACE_STORE_MAX", "junk")
-    assert trace_mod.TraceStore(str(tmp_path)).max_files == \
-        trace_mod._DEFAULT_STORE_MAX_FILES
-    monkeypatch.delenv("SENSMART_TRACE_STORE_MAX")
-    assert trace_mod.TraceStore(str(tmp_path)).max_files == \
-        trace_mod._DEFAULT_STORE_MAX_FILES
 
 
 # -- tier-up: only hot heads compile --------------------------------------------

@@ -11,6 +11,8 @@ each hot trace once per flash image, not once per node.
 
 from __future__ import annotations
 
+import collections
+import enum
 import re
 
 import pytest
@@ -18,11 +20,13 @@ import pytest
 from repro.avr import ioports
 from repro.avr.cpu import SuperblockCache
 from repro.avr.devices.radio import Radio
-from repro.avr.trace import TraceCompiler, TraceStore
+from repro.avr.trace import TraceCompiler
 from repro.errors import LinkError
 from repro.experiments.extra_static import _workload_sources
-from repro.kernel import KernelConfig, SensorNode
+from repro.kernel import SensorNode
+from repro.kernel.translation import AccessClass
 from repro.net.network import Network
+from repro.rewriter.classify import PatchKind
 from repro.workloads.bintree import search_task_source
 from repro.workloads.kernelbench import KERNEL_BENCHMARKS
 
@@ -202,31 +206,19 @@ helper:
 """
 
 
-def _stored_traces(node):
-    """``(sites, source)`` of every trace *node* compiled, read back
-    from its :class:`TraceStore` artifacts."""
-    tracer = node.kernel.tracer
-    stored = TraceStore(tracer.store.path).load(tracer._store_base())
-    for entries in stored.values():
-        for artifact in entries.values():
-            yield ([site for site, _, _ in artifact["sites"]],
-                   artifact["source"])
-
-
 #: The range check each in-region kind's fast arm runs behind.
 _GUARDS = {"MEM_INDIRECT": r"elif \d+ <= ta < \d+:",
            "STACK_POP": r"if tsp < \d+:"}
 
 
 @pytest.mark.tier_up_at_once
-def test_default_config_keeps_guards(tmp_path):
+def test_default_config_keeps_guards(emitted_traces):
     """All four heap accesses and both pops of TRAP_MIX stay in their
     regions on every run, and every trace that chains one of those
     sites still carries the site's range check: only a checked proof
     may drop a guard, and the JIT takes none."""
-    node = SensorNode.from_sources(
-        [("trap_mix", TRAP_MIX)],
-        config=KernelConfig(trace_store=str(tmp_path)), block_cache=False)
+    node = SensorNode.from_sources([("trap_mix", TRAP_MIX)],
+                                   block_cache=False)
     node.run(max_instructions=100)  # the task must stay alive
     natural = node.kernel.image.tasks[0].natural
     kinds = {site: patch.kind.name for site, patch in natural.sites.items()
@@ -234,12 +226,38 @@ def test_default_config_keeps_guards(tmp_path):
     assert sorted(kinds.values()) == ["MEM_INDIRECT"] * 4 \
         + ["STACK_POP"] * 2
     chained = set()
-    for sites, source in _stored_traces(node):
+    for emitter, source in emitted_traces:
+        sites = [n.facts.site for n in emitter.nodes if n.facts is not None]
         for kind, guard in _GUARDS.items():
             want = sum(kinds.get(site) == kind for site in sites)
             assert len(re.findall(guard, source)) == want, (kind, source)
         chained.update(sites)
     assert set(kinds) <= chained
+
+
+@pytest.mark.tier_up_at_once
+@pytest.mark.parametrize("fuse", [False, True], ids=["stepwise", "traced"])
+def test_trap_kinds_hash_without_a_python_call(monkeypatch, fuse):
+    """Every trap bumps a count keyed by its ``PatchKind`` (the kernel's
+    dispatch and thunks, a trace's epilogue) and an access charge keyed
+    by its ``AccessClass``: neither may pay ``Enum.__hash__``, a
+    Python-level call per lookup."""
+    calls = collections.Counter()
+    enum_hash = enum.Enum.__hash__
+
+    def counting(member):
+        calls[type(member)] += 1
+        return enum_hash(member)
+
+    monkeypatch.setattr(enum.Enum, "__hash__", counting)
+    node = SensorNode.from_sources([("trap_mix", TRAP_MIX)], fuse=fuse,
+                                   block_cache=False)
+    node.run(max_instructions=100_000)
+    assert node.finished
+    assert node.kernel.stats.trap_counts[PatchKind.MEM_INDIRECT] > 0
+    if fuse:
+        assert node.kernel.tracer.stats.compiled > 0
+    assert (calls[PatchKind], calls[AccessClass]) == (0, 0)
 
 
 # -- radio TX ring -------------------------------------------------------------
