@@ -35,7 +35,6 @@ from ...avr.encoding import EncodingError, decode, encode
 from ...avr.instruction import DataWord, Instruction
 from ...avr.isa import IO_SPL, IO_SPH, Format, Kind
 from ...rewriter.classify import PatchKind, classify
-from ..report import format_table
 
 #: Mnemonics that read or write data memory / the stack (independent of
 #: classify(): the linter's own list, kept deliberately separate so a
@@ -322,15 +321,3 @@ def lint_sources(sources: Sequence[Tuple[str, str]],
     """Link ``(name, assembly)`` pairs and lint the resulting image."""
     from ...toolchain.linker import link_image
     return lint_image(link_image(sources, rewriter=rewriter))
-
-
-def coverage_table(reports: Dict[str, LintReport]) -> str:
-    """Render a per-image coverage summary (used by the experiment)."""
-    rows = []
-    for name, report in reports.items():
-        rows.append([name, report.sites_total, report.sites_verified,
-                     f"{100 * report.coverage:.1f}%",
-                     len(report.findings)])
-    return format_table(
-        ["image", "patch sites", "verified", "coverage", "violations"],
-        rows, title="rewriter soundness lint")

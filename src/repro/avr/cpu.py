@@ -512,10 +512,6 @@ class AvrCpu(SimClock):
     def get_pair(self, lo_reg: int) -> int:
         return self.r[lo_reg] | (self.r[lo_reg + 1] << 8)
 
-    def set_pair(self, lo_reg: int, value: int) -> None:
-        self.r[lo_reg] = value & 0xFF
-        self.r[lo_reg + 1] = (value >> 8) & 0xFF
-
     # -- execution -----------------------------------------------------------------
 
     def step(self) -> None:
@@ -665,14 +661,7 @@ class AvrCpu(SimClock):
     def _decode_at(self, pc: int) -> Callable[[], None]:
         if not 0 <= pc < self.flash.size_words:
             raise IndexError(pc)  # a wild pc: see run()
-        word = self.flash.word(pc)
-        next_word = self.flash.word(pc + 1) \
-            if pc + 1 < self.flash.size_words else None
-        try:
-            instr = decode(word, next_word, pc)
-        except EncodingError:
-            raise InvalidInstruction(pc, word) from None
-        thunk = self._build(instr)
+        thunk = self._build(self._decode_instruction(pc))
         if self.profile is not None:
             inner = thunk
             profile = self.profile

@@ -146,7 +146,3 @@ class Timer3(_TimerBase):
         # The comparator keeps matching once per counter wrap, as on
         # real hardware; re-arm for the next pass.
         self._arm()
-
-    @property
-    def next_fire_cycle(self) -> Optional[int]:
-        return self._fire_cycle if self.compare_armed else None

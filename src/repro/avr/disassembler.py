@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .encoding import EncodingError, decode, instruction_words
+from .encoding import EncodingError, decode
 from .instruction import Instruction
 from .isa import Format
 
@@ -93,19 +93,3 @@ def format_instruction(ins: Instruction) -> str:
     if fmt is Format.SREG_OP:
         return f"{m} {ops[0]}"
     return m
-
-
-def code_span_words(words: Sequence[int]) -> int:
-    """Number of words a linear decode walks before hitting invalid data."""
-    count = 0
-    index = 0
-    while index < len(words):
-        try:
-            decode(words[index],
-                   words[index + 1] if index + 1 < len(words) else None)
-        except EncodingError:
-            break
-        step = instruction_words(words[index])
-        index += step
-        count += step
-    return count

@@ -41,15 +41,6 @@ class SwapStats:
     context_cycles: int = 0
     worn_out: bool = False
 
-    @property
-    def total_switch_cycles(self) -> int:
-        return self.swap_cycles + self.context_cycles
-
-    def mean_switch_cycles(self) -> float:
-        if not self.switches:
-            return 0.0
-        return self.total_switch_cycles / self.switches
-
 
 @dataclass
 class _SwapThread:

@@ -21,7 +21,7 @@ pair).
 from __future__ import annotations
 
 import re
-from typing import List, Optional
+from typing import List
 
 _LEAF_RES = [
     re.compile(r"^    ldi r24, \d+$"),
@@ -98,11 +98,3 @@ def _one_pass(lines: List[str]):
         out.append(lines[index])
         index += 1
     return out, changed
-
-
-def optimization_report(before: List[str],
-                        after: List[str]) -> Optional[str]:
-    saved = len(before) - len(after)
-    if saved <= 0:
-        return None
-    return f"peephole: {len(before)} -> {len(after)} lines ({saved} saved)"

@@ -26,7 +26,7 @@ are recorded as missed, not replayed.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .plan import (CRASH, DRIFT, FLASH_FLIP, SRAM_FLIP, FaultAction,
                    FaultPlan)
@@ -182,12 +182,6 @@ class FaultInjector:
     def schedule_sram_flip(self, name: str, cycle: int) -> None:
         self.schedule(name, SRAM_FLIP, cycle)
 
-    def schedule_flash_flip(self, name: str, cycle: int) -> None:
-        self.schedule(name, FLASH_FLIP, cycle)
-
-    def schedule_crash(self, name: str, cycle: int) -> None:
-        self.schedule(name, CRASH, cycle)
-
     # -- recovery ----------------------------------------------------------------
 
     def service(self) -> int:
@@ -247,14 +241,3 @@ class FaultInjector:
                        for node in network.nodes.values()):
                     return
             target = min(target + step, max_cycles)
-
-    def run_node(self, name: str,
-                 max_cycles: Optional[int] = None) -> None:
-        """Single-node driver: run, reboot on crash, run on."""
-        node = self._bindings[name].node
-        while True:
-            node.run(max_cycles=max_cycles)
-            if not self.service():
-                return
-            if max_cycles is not None and node.cpu.cycles >= max_cycles:
-                return

@@ -33,10 +33,6 @@ class XorShift32:
         """Uniform-ish draw in ``[0, bound)`` (bound >= 1)."""
         return self.next() % bound
 
-    def chance(self, permille: int) -> bool:
-        """True with probability ``permille / 1000``."""
-        return (self.next() % 1000) < permille
-
     def derive(self, label: str) -> "XorShift32":
         """A child stream keyed by *label*, independent of this one."""
         state = self.state

@@ -58,14 +58,6 @@ class Topology:
     def names(self) -> List[str]:
         return [spec.name for spec in self.nodes]
 
-    def neighbors(self, name: str) -> List[str]:
-        """Destinations of the links sourced at *name*, in link order."""
-        return [link.destination for link in self.links
-                if link.source == name]
-
-    def inbound_degree(self, name: str) -> int:
-        return sum(1 for link in self.links if link.destination == name)
-
     def bfs_order(self, root: str) -> Dict[str, int]:
         """Hop distance from *root* over directed links (BFS)."""
         adjacency: Dict[str, List[str]] = {}

@@ -672,10 +672,6 @@ class SenSmartKernel:
 
     # -- reporting ------------------------------------------------------------------------
 
-    @property
-    def alive_tasks(self) -> List[Task]:
-        return [t for t in self.tasks.values() if t.alive]
-
     def snapshot(self) -> Dict:
         """Diagnostic view of the node: tasks, regions, statistics."""
         regions = {

@@ -1,10 +1,11 @@
 """Content-addressed build pipeline (assemble → … → verdict).
 
-The base station's deployment path as an explicit staged pipeline:
-every stage is deterministic, keyed by the blake2b content key of its
-inputs (:mod:`repro.fingerprint`), and cached in a two-tier
-:class:`ArtifactStore` — so identical submissions cost one build, and
-``sensmart serve`` can answer a million of them from the store.
+The base station's deployment path as an explicit staged pipeline of
+deterministic stages.  Its one cached artifact is the verdict, keyed by
+the blake2b content key of the inputs (:mod:`repro.fingerprint`) and
+kept in a two-tier :class:`ArtifactStore` — so identical submissions
+cost one build, and ``sensmart serve`` can answer a million of them
+from the store.
 """
 
 from .pipeline import (DEFAULT_MAX_INSTRUCTIONS, BuildRequest, Pipeline,

@@ -1,25 +1,24 @@
 """Pipeline: content-keyed sequencing of the build stages.
 
-Every stage key is derivable *before any stage runs*: the request key
-is the content key of the submitted sources plus options, and each
-stage's key chains the previous one with the stage's name and version.
-Deterministic stages mean a key identifies its result — so the
-pipeline first probes the **final** (verdict) key and, on a hit,
-answers without assembling, rewriting, linting, booting or simulating
-anything.  That is the "a million identical submissions cost one
-rewrite" economics the serve layer builds on.
+The verdict is the one artifact the pipeline caches.  Its key is
+derivable *before any stage runs*: the request key (the content key of
+the submitted sources plus options) chained through every stage's name
+and version.  Deterministic stages mean the key identifies the verdict
+— so a submission probes it first and, on a hit, answers without
+assembling, rewriting, linting, booting or simulating anything.  That
+is the "a million identical submissions cost one rewrite" economics the
+serve layer builds on.
 
-A miss walks the stages in order; each consults the
-:class:`~repro.pipeline.store.ArtifactStore` under its own key first
-(memory tier always, disk tier for pure-data stages), so a partial
-cache still skips whatever work it can.
+A miss runs the stages in order and stores the verdict alone in the
+:class:`~repro.pipeline.store.ArtifactStore`.  Bumping any stage's
+``version`` changes the key, which retires every stored verdict.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..fingerprint import content_key
 from .stages import Stage, default_stages
@@ -38,8 +37,8 @@ class BuildRequest:
 
     ``sources`` is a tuple of ``(name, assembly_source)`` pairs —
     exactly what ``link_image`` takes.  Everything that can change the
-    verdict is part of the content key; pure performance knobs (trace
-    store paths, cache sizes) deliberately are not.
+    verdict is part of the content key; pure performance knobs (cache
+    sizes) deliberately are not.
     """
 
     sources: Tuple[Tuple[str, str], ...]
@@ -87,16 +86,15 @@ class Pipeline:
 
     *config* (a :class:`~repro.kernel.config.KernelConfig` or None for
     defaults) parameterizes the boot/simulate stages; any non-default
-    config is folded into every stage key so two pipelines with
-    different kernels never share artifacts they shouldn't.
+    config is folded into the verdict key so two pipelines with
+    different kernels never share verdicts they shouldn't.
     """
 
     def __init__(self, store: Optional[ArtifactStore] = None,
-                 config=None, stages: Optional[Sequence[Stage]] = None):
+                 config=None):
         self.store = store if store is not None else ArtifactStore()
         self.config = config
-        self.stages: List[Stage] = list(stages) if stages is not None \
-            else default_stages()
+        self.stages: List[Stage] = default_stages()
         #: Per-stage execution counts for *this* pipeline (the global
         #: work odometer lives in ``stages.COUNTERS``).
         self.stage_runs: Dict[str, int] = {}
@@ -111,56 +109,48 @@ class Pipeline:
         from dataclasses import asdict
         return asdict(self.config)
 
-    def stage_keys(self, request: BuildRequest) -> Dict[str, str]:
+    def verdict_key(self, request: BuildRequest) -> str:
+        """The request key chained through every stage's name and
+        version; the last link keys the verdict."""
         chained = content_key("pipeline", request.content_key(),
                               self._config_key())
-        keys = {}
         for stage in self.stages:
             chained = content_key("stage", stage.name, stage.version,
                                   chained)
-            keys[stage.name] = chained
-        return keys
+        return chained
 
     # -- submission -------------------------------------------------------------
+
+    def lookup(self, request: BuildRequest) -> Optional[dict]:
+        """The stored verdict for *request* flagged ``cached``, or
+        None."""
+        verdict = self.store.get(self.verdict_key(request))
+        return None if verdict is None else {**verdict, "cached": True}
 
     def submit(self, request: BuildRequest) -> dict:
         """Run (or recall) the full pipeline; returns the verdict dict
         with a ``cached`` flag describing whether any stage ran."""
         with self._lock:
             self.submissions += 1
-        keys = self.stage_keys(request)
-        final = self.stages[-1]
-        verdict = self.store.get(keys[final.name],
-                                 disk=final.persistent)
-        if verdict is not None:
-            return {**verdict, "cached": True}
+        cached = self.lookup(request)
+        if cached is not None:
+            return cached
         ctx: Dict[str, object] = {}
         for stage in self.stages:
-            key = keys[stage.name]
-            value = None
-            if stage.cacheable:
-                value = self.store.get(key, disk=stage.persistent)
-            if value is None:
-                value = stage.run(self, request, ctx)
-                with self._lock:
-                    self.stage_runs[stage.name] = \
-                        self.stage_runs.get(stage.name, 0) + 1
-                if stage.cacheable and value is not None:
-                    self.store.put(
-                        key, value,
-                        artifact=value if stage.persistent else None)
-            ctx[stage.name] = value
-        return {**ctx[self.stages[-1].name], "cached": False}
+            ctx[stage.name] = stage.run(self, request, ctx)
+            with self._lock:
+                self.stage_runs[stage.name] = \
+                    self.stage_runs.get(stage.name, 0) + 1
+        verdict = ctx[self.stages[-1].name]
+        self.store.put(self.verdict_key(request), verdict)
+        return {**verdict, "cached": False}
 
     def adopt(self, request: BuildRequest, verdict: dict) -> None:
         """Seed the store with a verdict computed elsewhere (a serve
         worker process): future identical submissions hit in-memory."""
         body = {key: value for key, value in verdict.items()
                 if key != "cached"}
-        keys = self.stage_keys(request)
-        final = self.stages[-1]
-        self.store.put(keys[final.name], body,
-                       artifact=body if final.persistent else None)
+        self.store.put(self.verdict_key(request), body)
 
     def stats_dict(self) -> dict:
         with self._lock:

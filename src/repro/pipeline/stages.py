@@ -13,11 +13,9 @@ Two layers live here:
   tests assert "a warm submission assembled and rewrote nothing".
 
 * **Stage classes** — thin deterministic wrappers the
-  :class:`~repro.pipeline.pipeline.Pipeline` sequences and caches by
-  content key.  A stage with ``persistent=True`` produces pure JSON
-  data and may be served from the on-disk artifact store across
-  processes; a stage with ``cacheable=False`` (the node build) is
-  never cached because its value is consumed by the stage after it.
+  :class:`~repro.pipeline.pipeline.Pipeline` runs in order.  Only the
+  JSON verdict the last one folds is cached; its key chains every
+  stage's ``name`` and ``version``.
 """
 
 from __future__ import annotations
@@ -70,10 +68,11 @@ COUNTERS = StageCounters()
 
 # -- work functions -------------------------------------------------------------
 #
-# ``link_image`` is split into its two passes so the pipeline can cache
-# them separately: pass 1 (assemble + measure) is placement-independent
-# and pure data; pass 2+3 (re-assemble at final bases, rewrite into the
-# shared trampoline pool, place and resolve) produces the live image.
+# ``link_image`` is split into its two passes, the pipeline's assemble
+# and rewrite stages: pass 1 (assemble + measure) is independent of
+# placement and yields the verdict's per-program metadata; pass 2+3
+# (re-assemble at final bases, rewrite into the shared trampoline pool,
+# place and resolve) produces the live image.
 
 
 def measure_programs(sources: Sequence[Tuple[str, str]], rewriter) \
@@ -156,16 +155,11 @@ def naturalize_at(name: str, source: str, base: int, pool, rewriter):
 
 
 class Stage:
-    """One deterministic step; the pipeline keys it by content."""
+    """One deterministic step; its ``name`` and ``version`` are links
+    in the verdict key."""
 
     name = ""
     version = 1
-    #: True — the stage's value is pure JSON data: cache it on disk and
-    #: serve it across processes.  False — the value is a live object:
-    #: cache it in memory only.
-    persistent = False
-    #: False — never cache (the value is consumed by a later stage).
-    cacheable = True
 
     def run(self, pipeline, request, ctx):
         raise NotImplementedError
@@ -175,7 +169,6 @@ class AssembleStage(Stage):
     """Assemble every program and measure naturalized sizes (pass 1)."""
 
     name = "assemble"
-    persistent = True
 
     def run(self, pipeline, request, ctx):
         from ..rewriter.rewriter import Rewriter
@@ -185,7 +178,7 @@ class AssembleStage(Stage):
 
 class RewriteStage(Stage):
     """Rewrite + link at final placement (passes 2+3).  The value holds
-    the live image; only its report survives to disk via the verdict."""
+    the live image; only its report reaches the verdict."""
 
     name = "rewrite"
 
@@ -202,10 +195,9 @@ class LintStage(Stage):
     name = "lint"
     #: Bumped whenever the fields of the lint report, the bounds the
     #: stack analysis computes for a given image, or the image the
-    #: rewrite links from given sources change (later stage keys chain
-    #: from this one).
+    #: rewrite links from given sources change (the verdict key chains
+    #: this version).
     version = 4
-    persistent = True
 
     def run(self, pipeline, request, ctx):
         image = ctx["rewrite"]["image"]
@@ -217,15 +209,12 @@ class LintStage(Stage):
 class PrecompileStage(Stage):
     """Boot a node from the linked image, ready to simulate.
 
-    Never cached: the node is consumed (run) by the simulate stage, so
-    a reuse would continue a finished run instead of starting one.  The
-    node gets a *private* trace cache — sharing the process-wide one
-    would leak cache-warmth into the verdict's jit counters, and a
+    The node gets a *private* trace cache — sharing the process-wide
+    one would leak cache-warmth into the verdict's jit counters, and a
     content-addressed artifact must not depend on process history.
     """
 
     name = "precompile"
-    cacheable = False
 
     def run(self, pipeline, request, ctx):
         from ..kernel import SensorNode
@@ -243,7 +232,6 @@ class SimulateStage(Stage):
     #: Bumped whenever the JIT counters the report carries change for
     #: the same input, so stored verdicts never serve stale counters.
     version = 6
-    persistent = True
 
     def run(self, pipeline, request, ctx):
         node = ctx["precompile"]
@@ -257,7 +245,6 @@ class VerdictStage(Stage):
     """Fold every stage's report into the one JSON verdict."""
 
     name = "verdict"
-    persistent = True
 
     def run(self, pipeline, request, ctx):
         COUNTERS.bump("verdict")

@@ -1,17 +1,18 @@
 """Content-addressed artifact store: in-memory LRU + on-disk JSON.
 
-Every pipeline stage result is addressed by a deterministic content key
+Every artifact is addressed by a deterministic content key
 (:mod:`repro.fingerprint`): same inputs, same key, same artifact.  The
-store has two tiers:
+pipeline stores one artifact per submission, its verdict.  The store
+has two tiers:
 
-* **memory** — an LRU of live Python values (linked images, booted
-  nodes, verdict dicts).  Serves repeat submissions within a process at
-  dict-lookup cost.
-* **disk** — JSON files for stages whose artifacts are pure data
-  (verdicts, lint reports, simulation digests).  Serves repeat
-  submissions across processes.  Each file carries a checksum of its
-  payload; a corrupt or tampered file is counted, deleted and treated
-  as a miss, so the pipeline falls back to a clean recompute.
+* **memory** — an LRU of Python values (verdict dicts, or the live
+  images of the process-default image cache).  Serves repeat lookups
+  within a process at dict-lookup cost.
+* **disk** — one JSON file per verdict, for a store given a ``path``.
+  Serves repeat submissions across processes.  Each file carries a
+  checksum of its payload; a corrupt or tampered file is counted,
+  deleted and treated as a miss, so the pipeline falls back to a clean
+  recompute.
 
 All operations are thread-safe (the serve executor fans submissions
 over worker threads) and best-effort on the disk tier: an unwritable
@@ -64,7 +65,13 @@ class StoreStats:
 
 
 class ArtifactStore:
-    """Two-tier content-addressed store keyed by fingerprint strings."""
+    """Two-tier content-addressed store keyed by fingerprint strings.
+
+    A store with a ``path`` writes every value it is given to disk as
+    well as to memory, so it holds JSON data only: the pipeline's
+    verdicts.  A store without one (the process-default image cache)
+    keeps live objects in memory only.
+    """
 
     def __init__(self, path: Optional[str] = None,
                  max_memory: int = 1024):
@@ -76,11 +83,11 @@ class ArtifactStore:
 
     # -- lookups ----------------------------------------------------------------
 
-    def get(self, key: str, disk: bool = True):
+    def get(self, key: str):
         """The stored value for *key*, or None.
 
-        Memory is consulted first; with ``disk=True`` a memory miss
-        falls through to the disk tier (and a disk hit is promoted into
+        Memory is consulted first; with a ``path`` a memory miss falls
+        through to the disk tier (and a disk hit is promoted into
         memory).  Stored values are never None, so None is an
         unambiguous miss.
         """
@@ -90,7 +97,7 @@ class ArtifactStore:
                 self._memory.move_to_end(key)
                 self.stats.hits += 1
                 return value
-        if disk and self.path is not None:
+        if self.path is not None:
             payload = self._read_disk(key)
             if payload is not _MISSING:
                 self.stats.disk_hits += 1
@@ -99,27 +106,15 @@ class ArtifactStore:
         self.stats.misses += 1
         return None
 
-    def contains(self, key: str) -> bool:
-        """Presence probe that does not touch the traffic counters."""
-        with self._lock:
-            if key in self._memory:
-                return True
-        return self.path is not None and os.path.exists(
-            self._file_for(key))
-
     # -- inserts ----------------------------------------------------------------
 
-    def put(self, key: str, value: Any,
-            artifact: Optional[dict] = None) -> None:
-        """Store *value* in memory; persist *artifact* (when given and a
-        disk path is configured) as the cross-process form of the same
-        result.  Pass ``artifact=value`` for stages whose value is
-        already pure JSON data."""
+    def put(self, key: str, value: Any) -> None:
+        """Store *value* in memory and, with a ``path``, on disk."""
         if value is None:
             raise ValueError("ArtifactStore cannot hold None values")
         self._put_memory(key, value)
-        if artifact is not None and self.path is not None:
-            self._write_disk(key, artifact)
+        if self.path is not None:
+            self._write_disk(key, value)
 
     def _put_memory(self, key: str, value: Any) -> None:
         with self._lock:

@@ -127,7 +127,3 @@ def classify(instruction: Instruction) -> PatchKind:
             instruction.is_backward_branch():
         return PatchKind.BRANCH_BACKWARD
     return PatchKind.NONE
-
-
-def needs_patch(instruction: Instruction) -> bool:
-    return classify(instruction) is not PatchKind.NONE

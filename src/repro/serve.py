@@ -256,12 +256,9 @@ class ServeServer:
         if self._pool is not None:
             # Probe the parent store first — a warm verdict must not
             # cost a round-trip through a worker process.
-            keys = self.pipeline.stage_keys(request)
-            final = self.pipeline.stages[-1]
-            cached = self.pipeline.store.get(keys[final.name],
-                                             disk=final.persistent)
+            cached = self.pipeline.lookup(request)
             if cached is not None:
-                return {**cached, "cached": True}
+                return cached
             verdict = self._pool.apply_async(
                 _worker_submit, (payload, self.store_path)).get()
             self.pipeline.adopt(request, verdict)

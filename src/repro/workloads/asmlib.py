@@ -5,39 +5,6 @@ from __future__ import annotations
 from ..avr import ioports
 
 
-def compute_block(instructions: int, label: str = "work") -> str:
-    """Emit a loop executing approximately *instructions* instructions.
-
-    The loop body is ``SBIW; BRNE`` (2 instructions per iteration, 4
-    cycles), using r24:r25 as the counter.  Sizes above 2 * 0xFFFF use
-    an outer loop on r23.
-    """
-    if instructions < 2:
-        return "    nop\n" * max(instructions, 0)
-    iterations = instructions // 2
-    if iterations <= 0xFFFF:
-        return f"""
-    ldi r24, lo8({iterations})
-    ldi r25, hi8({iterations})
-{label}_loop:
-    sbiw r24, 1
-    brne {label}_loop
-"""
-    outer = (iterations + 0xFFFF) // 0x10000
-    inner = iterations // outer
-    return f"""
-    ldi r23, {outer}
-{label}_outer:
-    ldi r24, lo8({inner})
-    ldi r25, hi8({inner})
-{label}_loop:
-    sbiw r24, 1
-    brne {label}_loop
-    dec r23
-    brne {label}_outer
-"""
-
-
 def compute_block_mem(instructions: int, label: str = "work",
                       scratch: str = "work_scratch") -> str:
     """A computation loop that also touches the heap each iteration.

@@ -1,4 +1,4 @@
-"""Every import in the package is used.
+"""Every import and every definition in the package is used.
 
 An ``ast`` scan of each non-``__init__`` module under ``src/repro``: a
 name a module imports but never loads is dead code, and it hides which
@@ -6,16 +6,27 @@ modules really depend on each other.  Names inside string annotations
 and names listed in ``__all__`` count as loads; ``__future__`` imports
 are exempt.  ``__init__`` modules are skipped, because their imports
 are the package's re-exports.
+
+A second scan finds functions, methods and classes that nothing names:
+a definition under ``src/repro`` whose name appears nowhere else in the
+repository's Python code (strings and comments included, so names
+looked up by ``getattr`` or wrapped by name still count) is a helper
+no caller reaches.
 """
 
 from __future__ import annotations
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import repro
 
 SRC = Path(repro.__file__).parent
+
+#: Where a use of a ``src/repro`` definition may live.
+USE_DIRS = ("src", "tests", "benchmarks", "examples", "perfbench")
 
 
 def _string_annotation_names(annotation: ast.AST):
@@ -75,3 +86,29 @@ def test_no_module_imports_a_name_it_never_uses():
                       for line, name in _imported_names(tree)
                       if name not in loaded)
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def _definitions(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)) and not (
+                node.name.startswith("__") and node.name.endswith("__")):
+            yield node.lineno, node.name
+
+
+def test_every_definition_is_named_somewhere_else():
+    root = Path(__file__).resolve().parent.parent
+    words: Counter = Counter()
+    for directory in USE_DIRS:
+        for path in (root / directory).rglob("*.py"):
+            words.update(re.findall(r"[A-Za-z_][A-Za-z0-9_]*",
+                                    path.read_text()))
+    sites = {}
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for line, name in _definitions(tree):
+            sites.setdefault(name, []).append(
+                f"{path.relative_to(SRC)}:{line}: {name}")
+    unused = [site for name, where in sorted(sites.items())
+              if words[name] <= len(where) for site in where]
+    assert not unused, "definitions nothing names:\n" + "\n".join(unused)

@@ -8,7 +8,8 @@ The economics the serve layer depends on are proven here:
 * a fresh process (modelled by a fresh pipeline over the same disk
   store) serves the verdict from disk, also work-free;
 * a corrupted on-disk artifact is detected by checksum, counted,
-  discarded, and recomputed into an identical verdict.
+  discarded, and recomputed into an identical verdict;
+* the verdict is the only artifact a cold submission stores.
 """
 
 from __future__ import annotations
@@ -85,14 +86,6 @@ def test_store_memory_lru_eviction():
     assert store.stats.misses == 2
 
 
-def test_store_contains_does_not_count():
-    store = ArtifactStore()
-    store.put("k", "v")
-    assert store.contains("k")
-    assert not store.contains("absent")
-    assert store.stats.lookups == 0
-
-
 def test_store_rejects_none_values():
     store = ArtifactStore()
     with pytest.raises(ValueError):
@@ -101,7 +94,7 @@ def test_store_rejects_none_values():
 
 def test_store_disk_round_trip_and_promotion(tmp_path):
     writer = ArtifactStore(path=str(tmp_path))
-    writer.put("k", {"x": 1}, artifact={"x": 1})
+    writer.put("k", {"x": 1})
     reader = ArtifactStore(path=str(tmp_path))
     assert reader.get("k") == {"x": 1}
     assert reader.stats.disk_hits == 1
@@ -112,7 +105,7 @@ def test_store_disk_round_trip_and_promotion(tmp_path):
 
 def test_store_checksum_detects_tampering(tmp_path):
     store = ArtifactStore(path=str(tmp_path))
-    store.put("k", {"x": 1}, artifact={"x": 1})
+    store.put("k", {"x": 1})
     (file,) = tmp_path.glob("*.json")
     wrapper = json.loads(file.read_text())
     wrapper["payload"]["x"] = 2  # bit-flip without updating checksum
@@ -125,7 +118,7 @@ def test_store_checksum_detects_tampering(tmp_path):
 
 def test_store_garbage_file_counts_corrupt(tmp_path):
     store = ArtifactStore(path=str(tmp_path))
-    store.put("k", 1, artifact={"v": 1})
+    store.put("k", {"v": 1})
     (file,) = tmp_path.glob("*.json")
     file.write_text("{ not json")
     fresh = ArtifactStore(path=str(tmp_path))
@@ -146,21 +139,20 @@ def test_request_payload_validation():
             "options": {"bogus": 1}})
 
 
-def test_stage_keys_are_stable_and_discriminating():
+def test_verdict_key_is_stable_and_discriminating():
     pipeline = Pipeline()
     r1 = _request()
-    keys = pipeline.stage_keys(r1)
-    assert list(keys) == ["assemble", "rewrite", "lint", "precompile",
-                          "simulate", "verdict"]
-    assert keys == pipeline.stage_keys(_request())
-    # different sources, options, or kernel config change every key
-    assert keys["verdict"] != \
-        pipeline.stage_keys(_request([("blink", BLINK)]))["verdict"]
-    assert keys["verdict"] != \
-        pipeline.stage_keys(_request(max_instructions=1))["verdict"]
+    key = pipeline.verdict_key(r1)
+    assert [stage.name for stage in pipeline.stages] == [
+        "assemble", "rewrite", "lint", "precompile", "simulate",
+        "verdict"]
+    assert key == pipeline.verdict_key(_request())
+    # different sources, options, or kernel config change the key
+    assert key != pipeline.verdict_key(_request([("blink", BLINK)]))
+    assert key != pipeline.verdict_key(_request(max_instructions=1))
     from repro.kernel.config import KernelConfig
     other = Pipeline(config=KernelConfig(fuse=False))
-    assert keys["verdict"] != other.stage_keys(r1)["verdict"]
+    assert key != other.verdict_key(r1)
 
 
 # -- cache correctness -----------------------------------------------------------
@@ -211,7 +203,7 @@ def test_corrupt_disk_artifact_recomputes_identically(tmp_path):
     cold = Pipeline(store=ArtifactStore(path=str(tmp_path)))
     verdict = cold.submit(_request())
     files = sorted(tmp_path.glob("*.json"))
-    assert files, "persistent stages wrote no artifacts"
+    assert files, "the verdict was not written to disk"
     for file in files:  # flip a byte in every artifact's payload
         wrapper = json.loads(file.read_text())
         wrapper["payload"] = {"tampered": True}
@@ -221,6 +213,18 @@ def test_corrupt_disk_artifact_recomputes_identically(tmp_path):
     assert recomputed["cached"] is False
     assert fresh.store.stats.corrupt >= 1
     assert _body(recomputed) == _body(verdict)
+
+
+def test_cold_submission_stores_only_the_verdict(tmp_path):
+    """Two distinct cold submissions: one lookup, one file and one
+    memory entry each — no intermediate stage is stored."""
+    pipeline = Pipeline(store=ArtifactStore(path=str(tmp_path)))
+    pipeline.submit(_request())
+    pipeline.submit(_request([("blink", BLINK)]))
+    assert len(list(tmp_path.glob("*.json"))) == 2
+    assert len(pipeline.store._memory) == 2
+    assert pipeline.store.stats.misses == 2
+    assert pipeline.store.stats.lookups == 2
 
 
 def test_multitask_verdict_and_digest_matches_direct_run():

@@ -143,6 +143,35 @@ def test_single_flight_coalescing():
     asyncio.run(scenario())
 
 
+def test_process_pool_adopts_worker_verdicts(tmp_path):
+    """``jobs=2`` forks two workers: a cold submission is built in a
+    worker and adopted by the parent, and its identical resubmission
+    is answered from the parent's memory tier."""
+    import multiprocessing
+
+    from repro.pipeline import BuildRequest, Pipeline
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the process pool needs fork")
+    programs = _programs(("spin", SPIN))
+    before = COUNTERS.snapshot()
+    with serve_in_thread(store_path=str(tmp_path), jobs=2) as server:
+        assert server.stats_dict()["workers"] == "processes"
+        with ServeClient(port=server.port) as client:
+            cold = client.submit(programs, options=OPTIONS)["verdict"]
+            warm = client.submit(programs, options=OPTIONS)["verdict"]
+        store = server.pipeline.store.stats
+        assert (store.hits, store.disk_hits, store.misses) == (1, 0, 1)
+    assert cold["cached"] is False
+    assert warm["cached"] is True
+    assert COUNTERS.delta(before) == {}, \
+        "the parent process must leave every build to its workers"
+    direct = Pipeline().submit(BuildRequest.from_payload(
+        {"programs": programs, "options": OPTIONS}))
+    body = {k: v for k, v in direct.items() if k != "cached"}
+    assert {k: v for k, v in cold.items() if k != "cached"} == body
+    assert {k: v for k, v in warm.items() if k != "cached"} == body
+
+
 def test_shutdown_op_stops_the_server(tmp_path):
     with serve_in_thread(store_path=str(tmp_path)) as server:
         with ServeClient(port=server.port) as client:
