@@ -8,8 +8,8 @@ Two execution modes share those thunks.  ``fuse=False`` steps them one
 instruction at a time: the stepwise oracle, which profiling also uses.
 ``fuse=True`` (the default) dispatches *traces*: at first execution of a
 pc, :class:`~repro.avr.trace.TraceCompiler` compiles the block starting
-there, plus the blocks its direct branches chain into, into one Python
-closure with ``exec`` (see :mod:`repro.avr.trace`).  Instruction
+there, plus the blocks its direct branches chain into, into one
+compiled Python function (see :mod:`repro.avr.trace`).  Instruction
 semantics are written twice, once per mode: the closures of
 :meth:`AvrCpu._build` and the member templates of
 :meth:`AvrCpu._member_parts` the trace compiler fuses.  Interrupts,
@@ -109,21 +109,32 @@ _MAX_BLOCK = 48
 class _CachedBlock:
     """One compiled trace variant in a :class:`SuperblockCache`.
 
-    Holds the shareable compilation products: the code object, the
-    site-specific flag tables it references, and the bookkeeping needed
-    to rebind it to another CPU (``trap``/``spec_key`` for the chained
-    trap sites).
+    Holds the shareable compilation products: the code object of the
+    trace function and *consts*, the names it reads beyond a CPU's
+    namespace (its flag tables and per-kind count keys).  It also holds
+    what the variant's key needs that cannot change while a node's
+    trampoline map stands, recorded at compile time: the chained sites'
+    trampoline targets (*trap*) and the trampolines the compiling node
+    mapped them to, whether any site is a branch trap or bakes region
+    constants, and the owner's code base.  No image object (task image,
+    target image, trampoline pool): the cache outlives images.
     """
 
-    __slots__ = ("code", "tables", "icount", "cost", "trap", "spec_key")
+    __slots__ = ("code", "consts", "icount", "cost", "trap", "trampolines",
+                 "branch", "regional", "owner", "spec_key")
 
-    def __init__(self, code, tables, icount, cost, trap, spec_key):
+    def __init__(self, code, consts, icount, cost, trap, trampolines,
+                 branch, regional, owner, spec_key):
         self.code = code
-        self.tables = tables
+        self.consts = consts
         self.icount = icount
         self.cost = cost
-        self.trap = trap          # chained (site, target, is_call)s
-        self.spec_key = spec_key  # specialization constants
+        self.trap = trap                # chained sites' trampoline targets
+        self.trampolines = trampolines  # what they mapped to, in order
+        self.branch = branch            # any site is a branch trap
+        self.regional = regional        # any site bakes region constants
+        self.owner = owner              # owner's code base, None if no site
+        self.spec_key = spec_key        # specialization constants
 
 
 class SuperblockCache:
@@ -135,7 +146,7 @@ class SuperblockCache:
     ``(base_key, pc)`` plus the per-variant ``spec_key``, so N nodes
     burned with the same image (the common network-simulation shape)
     compile each hot trace once and share the code objects; every
-    further node only pays an ``exec`` to rebind the code to its own
+    further node only builds a function of the shared code over its own
     registers and memory.
     """
 

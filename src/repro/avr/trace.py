@@ -7,8 +7,7 @@ stepwise oracle (``AvrCpu.step``) until its ``TIER_UP``-th dispatch
 once.  A trace is the head block plus the blocks its direct
 transfers chain into (unconditional jumps, conditional branches,
 ``SBRS``/``SBRC`` skips, and the specialized trap fast paths), as one
-``exec``-compiled closure, so a hot loop executes with locals-only
-state:
+compiled function, so a hot loop executes with locals-only state:
 
 * ``cy``/``n``/``sr`` shadow ``cycles``/``instret``/``sreg``;
 * every *seam* between chained blocks replicates the dispatch loop's
@@ -63,12 +62,15 @@ due event.  Direct accesses to SP or SREG (which the trace shadows in
 Compiled traces are shared across CPUs through the in-process
 :class:`~repro.avr.cpu.SuperblockCache`, keyed by flash fingerprint,
 memory size, trap ranges and head pc, with one variant per composite
-specialization key.
+specialization key.  A CPU binds a cached trace by building a function
+of its code object over the CPU's namespace: no ``exec``.
 """
 
 from __future__ import annotations
 
+import builtins
 from dataclasses import dataclass
+from types import FunctionType
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..analysis.static.liveness import sreg_effects
@@ -100,6 +102,9 @@ TIER_UP = 64
 #: so a deopt or a new spec-key variant recompiles at once.
 _HOT = float("inf")
 
+#: The key of every trace with no trap site: it bakes no site facts.
+_SITELESS = ((), None, None, None)
+
 #: I/O addresses a direct access to which ends the trace: SREG lives in
 #: the ``sr`` local, and an SP write may raise ``TaskFault``, which only
 #: the dispatch path turns into a task kill (as for SP_READ/SP_WRITE).
@@ -118,8 +123,11 @@ class TraceStats:
 
 
 def _base_ns(cpu) -> dict:
-    """The namespace every generated trace closure is exec'd against."""
+    """The CPU's part of the namespace every trace function runs in
+    (with the builtins, which Python 3.9 reads from a function's
+    globals)."""
     return {
+        "__builtins__": builtins,
         "cpu": cpu, "r": cpu.r, "mem": cpu.mem.data, "flash": cpu.flash,
         "io_rd": cpu.io_read, "io_wr": cpu.io_write, "io_st": cpu.io_stable,
         "lf": _LOGIC_TABLE, "incf": _INC_TABLE, "decf": _DEC_TABLE,
@@ -232,6 +240,9 @@ class TraceCompiler:
         #: -> cold dispatches, ``_HOT`` once it got a trace.  A shared
         #: cache keeps its heat per image base instead.
         self._heat: Dict[int, float] = {}
+        #: Owner task id (None: no trap site) -> the namespace this
+        #: CPU's traces of that owner are bound against.
+        self._namespaces: Dict[Optional[int], dict] = {}
 
     # -- entry point --------------------------------------------------------------
 
@@ -278,93 +289,114 @@ class TraceCompiler:
             cache = cpu._block_cache
             group = cache.groups.get((mem_base, pc))
             if group:
-                for block in group.values():
-                    resolved = self._resolve_sites(block.trap)
-                    if resolved is None or resolved[0] != block.spec_key:
-                        continue
+                found = self._match(group)
+                if found is not None:
                     cache.hits += 1
                     self.stats.cache_hits += 1
-                    _, task, kinds = resolved
-                    return self._rebind(block, task, kinds)
+                    block, task = found
+                    return self._rebind(block, self._namespace(task),
+                                        block.consts)
             cache.misses += 1
         return self._compile(pc, mem_base)
 
     # -- cache plumbing -----------------------------------------------------------
 
-    def _resolve_sites(self, sites):
-        """Current ``(composite_key, owner, kinds)`` for a cached site
-        list, or None when any site can no longer be specialized the
-        same way (kind retired, task dead, region gone, owner mismatch).
+    def _match(self, group):
+        """``(variant, owner task)`` for the first variant of *group*
+        whose key this node composes now, or None.
 
-        The composite key appends the owner task's region epoch even
-        when no chained site bakes region constants: a trace hoists
-        every site under one entry guard, and guarding (and keying) the
-        epoch uniformly means any externally-forced region change
-        retires all of the owning task's traces through the normal
-        deopt-then-recompile path.
+        A variant with no trap site bakes no site facts, and every node
+        may bind it.  One with sites first needs the node to map every
+        chained target to a trampoline equal to the recorded one (one
+        C-level pass).  A mismatch means some site's kind or params
+        differ (a trampoline's address is its target), so its key would
+        too.  Then the owner, found once per head from its code base,
+        composes the key with the recorded site heads.
         """
-        if not sites:
-            return ((), None), None, ()
-        if self.specializer is None:
-            return None
-        return self.specializer.trace_key(sites)
+        spec = self.specializer
+        base = owner = None
+        for block in group.values():
+            if not block.trap:
+                return block, None
+            if spec is None or tuple(map(spec.kernel.trampolines.get,
+                                         block.trap)) != block.trampolines:
+                continue
+            if block.owner != base:
+                base, owner = block.owner, spec.owner(block.owner)
+            if owner is not None and spec.trace_key(
+                    block.spec_key[0], block.branch, block.regional,
+                    owner) == block.spec_key:
+                return block, owner[0]
+        return None
 
-    def _bind(self, ns: dict, task, kinds) -> None:
-        """Namespace bindings for the chained sites: the owner's kernel
-        objects plus ``kk{i}`` per distinct trap kind, in first-occurrence
-        order over the chain (the emitter numbers its count locals the
-        same way)."""
-        if task is None:
-            return
-        ns.update(self.specializer.bindings(self.cpu, task))
-        seen: List[object] = []
-        for kind in kinds:
-            if kind not in seen:
-                ns[f"kk{len(seen)}"] = kind
-                seen.append(kind)
+    def _namespace(self, task) -> dict:
+        """The namespace this CPU binds every trace of *task* against
+        (None: a trace with no trap site), built at the first bind.
+        Nothing reassigns an object it binds once the node runs (the
+        register file, the routing tables, ``kernel.stats``,
+        ``cpu._blocks``, ...), so it never goes stale."""
+        key = None if task is None else task.task_id
+        ns = self._namespaces.get(key)
+        if ns is None:
+            ns = self._namespaces[key] = _base_ns(self.cpu)
+            if task is not None:
+                ns.update(self.specializer.bindings(self.cpu, task))
+        return ns
 
-    def _rebind(self, block: _CachedBlock, task, kinds):
-        ns = _base_ns(self.cpu)
-        ns.update(block.tables)
-        self._bind(ns, task, kinds)
-        exec(block.code, ns)
-        return (ns["_blk"], block.icount, block.cost)
+    def _rebind(self, block: _CachedBlock, ns: dict, consts: dict):
+        """The dispatch entry of *block* on this CPU: its code as a
+        function over *ns*, this CPU's namespace for the trace's owner,
+        plus *consts*, the trace's own names, as :meth:`_compile` builds
+        it.  No ``exec``: the code object is the trace function's own."""
+        return (FunctionType(block.code, {**ns, **consts}),
+                block.icount, block.cost)
 
     # -- compilation --------------------------------------------------------------
 
     def _compile(self, pc: int, mem_base):
-        ns = _base_ns(self.cpu)
-        nodes, tail = self._assemble(pc, ns)
+        consts: dict = {}
+        nodes, tail = self._assemble(pc, consts)
         source = _Emitter(nodes, tail).source()
-        sites = tuple((node.facts.site, node.facts.target,
-                       node.facts.is_call)
-                      for node in nodes if node.facts is not None)
-        # The same resolution re-entry uses, so the cached key is the
-        # one a later rebind composes for these sites.
-        key, task, kinds = self._resolve_sites(sites)
-        code = compile(source, f"<trace@{pc:#06x}>", "exec")
+        # The module defines one function: keep that function's code.
+        code = compile(source, f"<trace@{pc:#06x}>", "exec").co_consts[0]
         self.stats.lines += source.count("\n") + 1
-        self._bind(ns, task, kinds)
-        exec(code, ns)
+        facts = [node.facts for node in nodes if node.facts is not None]
+        kinds = dict.fromkeys(f.kind for f in facts)
+        consts.update((f"kk{i}", kind) for i, kind in enumerate(kinds))
         head = nodes[0]
         # A cut head has no terminator: it retires its members only.
         icount = head.count if head.kind == "cut" else head.count + 1
-        entry = (ns["_blk"], icount, head.cost)
+        ns = self._namespace(facts[0].task if facts else None)
+        entry = (FunctionType(code, {**ns, **consts}), icount, head.cost)
         self.stats.compiled += 1
         self.chained.update(node.start for node in nodes[1:])
-        if self.specializer is not None and sites:
+        if facts:
             # Each chained site is a specialization this trace replaces.
-            self.specializer.stats.compiled += len(sites)
-        tables = {name: value for name, value in ns.items()
-                  if name[0] in "tu" and name[1:].isdigit()}
+            self.specializer.stats.compiled += len(facts)
         if mem_base is not None:
-            self.cpu._block_cache.store(
-                mem_base, pc,
-                _CachedBlock(code=code, tables=tables, icount=icount,
-                             cost=head.cost, trap=sites, spec_key=key))
+            self.cpu._block_cache.store(mem_base, pc, self._cached(
+                code, consts, icount, head.cost, facts))
         return entry
 
-    def _assemble(self, head: int, ns: dict):
+    def _cached(self, code, consts, icount, cost, facts) -> _CachedBlock:
+        """The cache variant of a trace compiled from *facts*, its
+        chained sites' facts: what its key needs, then the key this
+        node composes for it, as :meth:`_match` composes it later."""
+        if not facts:
+            return _CachedBlock(code, consts, icount, cost, (), (), False,
+                                False, None, _SITELESS)
+        heads = tuple((f.kind.name, f.params) for f in facts)
+        branch = any(name == "BRANCH_BACKWARD" for name, _ in heads)
+        regional = any(name != "BRANCH_BACKWARD" for name, _ in heads)
+        base = facts[0].task.image.base
+        spec = self.specializer
+        key = spec.trace_key(heads, branch, regional, spec.owner(base))
+        return _CachedBlock(code, consts, icount, cost,
+                            tuple(f.target for f in facts),
+                            tuple(f.trampoline for f in facts),
+                            branch, regional, base, key)
+
+    def _assemble(self, head: int, consts: dict):
         """Walk the chain of blocks starting at *head*.
 
         Returns ``(nodes, tail)``.  ``tail`` is ``("backedge",)`` when
@@ -385,7 +417,7 @@ class TraceCompiler:
             if len(nodes) >= _MAX_TRACE_BLOCKS:
                 tail = ("exit", cur)
                 break
-            node = self._build_node(cur, ns, uid, not nodes)
+            node = self._build_node(cur, consts, uid, not nodes)
             if node is None:
                 tail = ("exit", cur)
                 break
@@ -403,7 +435,7 @@ class TraceCompiler:
             cur = node.cont
         return nodes, tail
 
-    def _build_node(self, start: int, ns: dict, uid, head: bool):
+    def _build_node(self, start: int, consts: dict, uid, head: bool):
         """Fuse members from *start* and classify the terminator.
 
         A block that cannot be chained (terminator with dynamic or
@@ -424,7 +456,7 @@ class TraceCompiler:
                 if head and cur == start:
                     raise
                 break
-            parts = cpu._member_parts(ins, ns, uid[0])
+            parts = cpu._member_parts(ins, consts, uid[0])
             if parts is None:
                 node = self._classify(ins, start, members)
                 if node is None and head:

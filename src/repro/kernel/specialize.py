@@ -33,8 +33,8 @@ Correctness rests on three facts:
    generic ``dispatch`` path, bit-identical to stepwise execution
    (``tests/test_trapspec.py`` proves it differentially).
 
-A site's ``spec_key`` — every runtime constant baked into its code —
-is part of the trace's key in the cross-node trace cache (see
+Every runtime constant a trace bakes in is part of its key in the
+cross-node trace cache (:meth:`TrapSpecializer.trace_key`; see
 :class:`repro.avr.cpu.SuperblockCache`).
 """
 
@@ -94,51 +94,28 @@ class TraceFacts:
     """Everything the trace compiler needs to chain one patched site.
 
     A read-only snapshot of the specialization inputs for *site* at
-    compile time: the trampoline kind and params, the owning task, its
-    region (None for region-free kinds) and region epoch, and the kernel
-    config.  The trace's cache key comes from
-    :meth:`TrapSpecializer.trace_key`, which composes the per-site keys
-    of the chained sites.
+    compile time: the trampoline the kernel maps its target to (kind
+    and params), the owning task, its region (None for region-free
+    kinds) and region epoch, and the kernel config.  The trace's cache
+    key comes from :meth:`TrapSpecializer.trace_key`.
     """
 
     site: int
     target: int
     is_call: bool
-    kind: "PatchKind"
-    params: Tuple
+    trampoline: object
     task: object
     region: object
     epoch: int
     config: object
 
+    @property
+    def kind(self) -> "PatchKind":
+        return self.trampoline.kind
 
-class _SiteStatics:
-    """The facts of one patched site that hold for as long as the
-    kernel maps its target to the same trampoline: kind, params, and
-    every part of the site's ``spec_key`` except the owner's region
-    constants."""
-
-    __slots__ = ("trampoline", "kind", "params", "needs_region", "_head")
-
-    def __init__(self, trampoline, config):
-        self.trampoline = trampoline
-        self.kind = trampoline.kind
-        self.params = trampoline.params
-        self.needs_region = self.kind is not PatchKind.BRANCH_BACKWARD
-        self._head = (self.kind.name, self.params)
-        if not self.needs_region:
-            # Region-free: the key is fixed for the kernel's lifetime.
-            self._head += (config.branch_trap_period,)
-
-    def spec_key(self, region_key: Optional[Tuple]) -> Optional[Tuple]:
-        """Every runtime constant the site's emitted code bakes in, given
-        the owner's region key from :meth:`TrapSpecializer._region`, or
-        None when the kind needs a region and the owner has none."""
-        if not self.needs_region:
-            return self._head
-        if region_key is None:
-            return None
-        return self._head + region_key
+    @property
+    def params(self) -> Tuple:
+        return self.trampoline.params
 
 
 class TrapSpecializer:
@@ -147,59 +124,74 @@ class TrapSpecializer:
     def __init__(self, kernel):
         self.kernel = kernel
         self.stats = SpecializerStats()
-        #: site -> owning task, re-checked on every hit (see _owner).
-        self._owners: Dict[int, object] = {}
-        #: site -> _SiteStatics, trusted only while the kernel still
-        #: maps the site's target to the memoized trampoline object.
-        self._statics: Dict[int, _SiteStatics] = {}
+        #: Owner code base -> ``(task, region key, epoch)``, trusted while
+        #: the task is alive at that epoch (see :meth:`owner`).
+        self._owners: Dict[int, Tuple] = {}
 
     # -- entry points ------------------------------------------------------------
 
     def trace_facts(self, site: int, target: int,
                     is_call: bool) -> Optional[TraceFacts]:
-        """Specialization facts for chaining *site* into a trace, or
-        None where :meth:`_derive` declines.  Emission lives in
-        :mod:`repro.avr.trace`.
+        """The one derivation of a site's specialization facts, for
+        chaining *site* into a trace, or None where the site stays on
+        the generic path: no trampoline, an unspecialized kind, no live
+        owner, or a region-bound kind whose owner has no region.
+        Emission lives in :mod:`repro.avr.trace`.
         """
-        derived = self._derive(site, target)
-        if derived is None:
+        trampoline = self.kernel.trampolines.get(target)
+        if trampoline is None or site < 0 \
+                or trampoline.kind not in _CHAINABLE:
             return None
-        statics, task, region, _ = derived
+        task = next((task for task in self.kernel.tasks.values()
+                     if task.alive and task.owns_code(site)), None)
+        if task is None:
+            return None
+        region = None
+        if trampoline.kind is not PatchKind.BRANCH_BACKWARD:
+            region = self.kernel.regions.maybe_by_task(task.task_id)
+            if region is None:
+                return None
         return TraceFacts(site=site, target=target, is_call=is_call,
-                          kind=statics.kind, params=statics.params,
-                          task=task,
-                          region=region if statics.needs_region else None,
+                          trampoline=trampoline, task=task, region=region,
                           epoch=task.region_epoch, config=self.kernel.config)
 
-    def trace_key(self, sites):
-        """``(key, task, kinds)`` for a stored trace's chained *sites*
-        (``(site, target, is_call)`` triples) under the current
-        constants, or None when any site can no longer be specialized
-        the same way (kind retired, task dead, region gone, owner
-        mismatch).
+    def owner(self, base: int):
+        """``(task, region key, epoch)`` for the alive task whose code
+        starts at flash word *base*, or None.
 
-        ``key`` is ``(site spec_keys, owner epoch)``, each site's key
-        every constant the trace bakes for it; ``kinds`` lists each
-        site's trap kind in chain order.  The cost is one owner lookup
-        per trace rather than one per site: alive tasks own disjoint
-        contiguous code ranges, so the owner of the lowest site that
-        also owns the highest one owns every site in between, and no
-        other alive task owns any of them.
-        """
-        task = self._owner(min(sites)[0])
-        if task is None or not task.owns_code(max(sites)[0]):
-            return None
-        _, region_key = self._region(task)
-        keys = []
-        kinds = []
-        for site, target, _ in sites:
-            statics = self._site_statics(site, target)
-            key = None if statics is None else statics.spec_key(region_key)
-            if key is None:
+        Memoized per node by the int *base*: no two tasks of a node
+        share a code base, and a task's code never moves.  A hit is
+        trusted while its task is alive at the memoized epoch; every
+        region move bumps the epoch, so the region key cannot have gone
+        stale under it."""
+        entry = self._owners.get(base)
+        task = None if entry is None else entry[0]
+        if task is None or not task.alive:
+            task = next((task for task in self.kernel.tasks.values()
+                         if task.alive and task.image.base == base), None)
+            if task is None:
                 return None
-            keys.append(key)
-            kinds.append(statics.kind)
-        return (tuple(keys), task.region_epoch), task, kinds
+        elif task.region_epoch == entry[2]:
+            return entry
+        entry = self._owners[base] = (task, self._region_key(task),
+                                      task.region_epoch)
+        return entry
+
+    def trace_key(self, heads: Tuple, branch: bool, regional: bool,
+                  owner) -> Tuple:
+        """The key of a trace whose chained sites have the key *heads*
+        (``(kind name, params)`` each) on a node where *owner* (from
+        :meth:`owner`) owns them: the heads, the branch-trap period if
+        any site is a branch trap, the owner's region key if any site
+        bakes region constants, and the owner's epoch.  It holds every
+        runtime constant the trace bakes in, and the epoch even when no
+        site bakes region constants: one entry guard covers every site,
+        so any region change retires all of the owner's traces through
+        the normal deopt-then-recompile path."""
+        _, region_key, epoch = owner
+        return (heads,
+                self.kernel.config.branch_trap_period if branch else None,
+                region_key if regional else None, epoch)
 
     def bindings(self, cpu, task) -> Dict[str, object]:
         """The namespace names specialized code for *task* expects."""
@@ -215,61 +207,14 @@ class TrapSpecializer:
             "k_bl": cpu._blocks,
         }
 
-    # -- site facts --------------------------------------------------------------
+    # -- owner facts -------------------------------------------------------------
 
-    def _derive(self, site: int, target: int):
-        """The one derivation of a site's specialization facts:
-        ``(statics, task, region, spec_key)``, or None when the site
-        stays on the generic path (no trampoline, an unspecialized kind,
-        no live owner, or a region-bound kind whose owner has no
-        region)."""
-        statics = self._site_statics(site, target)
-        if statics is None:
-            return None
-        task = self._owner(site)
-        if task is None:
-            return None
-        region, region_key = self._region(task)
-        spec_key = statics.spec_key(region_key)
-        if spec_key is None:
-            return None
-        return statics, task, region, spec_key
-
-    def _site_statics(self, site: int, target: int):
-        """Memoized :class:`_SiteStatics` for *site*, or None when its
-        target is no trampoline of a kind this module specializes."""
-        trampoline = self.kernel.trampolines.get(target)
-        if trampoline is None:
-            return None
-        statics = self._statics.get(site)
-        if statics is not None and statics.trampoline is trampoline:
-            return statics
-        if site < 0 or trampoline.kind not in _CHAINABLE:
-            return None
-        statics = _SiteStatics(trampoline, self.kernel.config)
-        self._statics[site] = statics
-        return statics
-
-    def _region(self, task):
-        """*task*'s region and the part of a region-bound site's key that
-        depends on it, or ``(None, None)`` when the task has no region."""
+    def _region_key(self, task) -> Optional[Tuple]:
+        """The part of a region-bound site's key that depends on
+        *task*'s region, or None when the task has no region."""
         region = self.kernel.regions.maybe_by_task(task.task_id)
         if region is None:
-            return None, None
+            return None
         config = self.kernel.config
-        return region, (task.region_epoch, region.p_l, region.p_h,
-                        region.p_u, config.ram_start, config.memory_size,
-                        config.stack_margin)
-
-    def _owner(self, site: int):
-        """The alive task whose code holds *site*, or None.  A memo hit
-        is re-checked with the scan's own predicate before it is
-        trusted; a miss or a failed check rescans the task table."""
-        task = self._owners.get(site)
-        if task is not None and task.alive and task.owns_code(site):
-            return task
-        for task in self.kernel.tasks.values():
-            if task.alive and task.owns_code(site):
-                self._owners[site] = task
-                return task
-        return None
+        return (task.region_epoch, region.p_l, region.p_h, region.p_u,
+                config.ram_start, config.memory_size, config.stack_margin)

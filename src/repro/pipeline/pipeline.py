@@ -123,34 +123,43 @@ class Pipeline:
 
     def lookup(self, request: BuildRequest) -> Optional[dict]:
         """The stored verdict for *request* flagged ``cached``, or
-        None."""
+        None.  Every submission starts here, whether this pipeline or
+        a serve worker then builds it, so this counts one."""
+        with self._lock:
+            self.submissions += 1
         verdict = self.store.get(self.verdict_key(request))
         return None if verdict is None else {**verdict, "cached": True}
 
     def submit(self, request: BuildRequest) -> dict:
         """Run (or recall) the full pipeline; returns the verdict dict
         with a ``cached`` flag describing whether any stage ran."""
-        with self._lock:
-            self.submissions += 1
         cached = self.lookup(request)
         if cached is not None:
             return cached
         ctx: Dict[str, object] = {}
         for stage in self.stages:
             ctx[stage.name] = stage.run(self, request, ctx)
-            with self._lock:
-                self.stage_runs[stage.name] = \
-                    self.stage_runs.get(stage.name, 0) + 1
+            self._count_runs([stage])
         verdict = ctx[self.stages[-1].name]
         self.store.put(self.verdict_key(request), verdict)
         return {**verdict, "cached": False}
 
     def adopt(self, request: BuildRequest, verdict: dict) -> None:
         """Seed the store with a verdict computed elsewhere (a serve
-        worker process): future identical submissions hit in-memory."""
+        worker process): future identical submissions hit in-memory.
+        A verdict the worker built rather than recalled counts one run
+        of every stage, as a build here would."""
         body = {key: value for key, value in verdict.items()
                 if key != "cached"}
         self.store.put(self.verdict_key(request), body)
+        if not verdict["cached"]:
+            self._count_runs(self.stages)
+
+    def _count_runs(self, stages) -> None:
+        with self._lock:
+            for stage in stages:
+                self.stage_runs[stage.name] = \
+                    self.stage_runs.get(stage.name, 0) + 1
 
     def stats_dict(self) -> dict:
         with self._lock:

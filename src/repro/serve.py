@@ -56,20 +56,22 @@ DEFAULT_PORT = 7737
 # -- worker-process entry (jobs > 1) ---------------------------------------------
 
 _WORKER_PIPELINE: Optional[Pipeline] = None
-_WORKER_STORE_PATH = None
+_WORKER_KEY = None
 
 
-def _worker_submit(payload: dict, store_path) -> dict:
+def _worker_submit(payload: dict, store_path, config) -> dict:
     """Run one submission inside a forked pool worker.
 
     Each worker keeps its own pipeline over the shared on-disk store
-    (writes are atomic rename, so concurrent workers are safe); the
-    parent adopts the returned verdict into its in-memory tier.
+    (writes are atomic rename, so concurrent workers are safe), built
+    with the server's kernel *config* so that the verdict is the one
+    the parent keys; the parent adopts it into its in-memory tier.
     """
-    global _WORKER_PIPELINE, _WORKER_STORE_PATH
-    if _WORKER_PIPELINE is None or _WORKER_STORE_PATH != store_path:
-        _WORKER_PIPELINE = Pipeline(store=ArtifactStore(path=store_path))
-        _WORKER_STORE_PATH = store_path
+    global _WORKER_PIPELINE, _WORKER_KEY
+    if _WORKER_PIPELINE is None or _WORKER_KEY != (store_path, config):
+        _WORKER_PIPELINE = Pipeline(store=ArtifactStore(path=store_path),
+                                    config=config)
+        _WORKER_KEY = (store_path, config)
     return _WORKER_PIPELINE.submit(BuildRequest.from_payload(payload))
 
 
@@ -260,7 +262,8 @@ class ServeServer:
             if cached is not None:
                 return cached
             verdict = self._pool.apply_async(
-                _worker_submit, (payload, self.store_path)).get()
+                _worker_submit,
+                (payload, self.store_path, self.pipeline.config)).get()
             self.pipeline.adopt(request, verdict)
             return verdict
         return self.pipeline.submit(request)

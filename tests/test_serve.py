@@ -8,7 +8,7 @@ import json
 import pytest
 
 from repro.pipeline.report import SERVE_STATS_SCHEMA, VERDICT_SCHEMA
-from repro.pipeline.stages import COUNTERS
+from repro.pipeline.stages import COUNTERS, default_stages
 from repro.serve import ServeClient, ServeServer, serve_in_thread
 
 SPIN = """
@@ -159,8 +159,14 @@ def test_process_pool_adopts_worker_verdicts(tmp_path):
         with ServeClient(port=server.port) as client:
             cold = client.submit(programs, options=OPTIONS)["verdict"]
             warm = client.submit(programs, options=OPTIONS)["verdict"]
+            stats = client.stats()["stats"]["pipeline"]
         store = server.pipeline.store.stats
         assert (store.hits, store.disk_hits, store.misses) == (1, 0, 1)
+    # The worker-built verdict counts as a submission that ran every
+    # stage once; the warm one as a submission that ran none.
+    assert stats["submissions"] == 2
+    assert stats["stage_runs"] == {stage.name: 1
+                                   for stage in default_stages()}
     assert cold["cached"] is False
     assert warm["cached"] is True
     assert COUNTERS.delta(before) == {}, \
@@ -170,6 +176,28 @@ def test_process_pool_adopts_worker_verdicts(tmp_path):
     body = {k: v for k, v in direct.items() if k != "cached"}
     assert {k: v for k, v in cold.items() if k != "cached"} == body
     assert {k: v for k, v in warm.items() if k != "cached"} == body
+
+
+def test_process_pool_builds_with_the_server_config(tmp_path):
+    """With ``jobs=2`` the workers build under the server's kernel
+    config, so a non-default config's verdict is the one its own
+    pipeline gives (no trace JIT under ``fuse=False``)."""
+    import multiprocessing
+
+    from repro.kernel import KernelConfig
+    from repro.pipeline import BuildRequest, Pipeline
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the process pool needs fork")
+    config = KernelConfig(fuse=False)
+    programs = _programs(("spin", SPIN))
+    with serve_in_thread(store_path=str(tmp_path), jobs=2,
+                         config=config) as server:
+        with ServeClient(port=server.port) as client:
+            served = client.submit(programs, options=OPTIONS)["verdict"]
+    direct = Pipeline(config=config).submit(BuildRequest.from_payload(
+        {"programs": programs, "options": OPTIONS}))
+    assert served["jit"] == {}
+    assert served == direct
 
 
 def test_shutdown_op_stops_the_server(tmp_path):

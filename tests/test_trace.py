@@ -649,6 +649,67 @@ def test_shared_cache_rebinds_traces_across_relocation_and_reload():
     assert max(cache.compile_counts.values()) == 1
 
 
+@pytest.mark.tier_up_at_once
+def test_second_node_rebinds_without_walking_its_sites(monkeypatch):
+    """A second node of one image on a shared cache compiles nothing and
+    derives no site's facts, also across the deopts a relocation
+    causes: re-entry reads what each trace recorded when it compiled,
+    and finds the owner by its code base, not by asking tasks whether
+    they own a site."""
+    from repro.kernel.specialize import TrapSpecializer
+    from repro.kernel.task import Task
+    sources = [(f"s{index}", search_task_source(
+        nodes=60, searches=15, seed=0x1357 + 0x1111 * index))
+        for index in range(3)]
+    cache = SuperblockCache()
+    nodes = [SensorNode.from_sources(sources, block_cache=cache)
+             for _ in range(2)]
+    calls = []
+    for name, owner in (("trace_facts", TrapSpecializer),
+                        ("owns_code", Task)):
+        def counting(*args, _name=name, _function=getattr(owner, name)):
+            calls.append(_name)
+            return _function(*args)
+        monkeypatch.setattr(owner, name, counting)
+    for node in nodes:
+        calls.clear()
+        node.run(max_instructions=8_000)
+        assert node.kernel.relocator.grow_stack(0, 16).moved
+        node.run(max_instructions=50_000_000)
+        assert node.finished
+    first, second = nodes
+    assert first.kernel.tracer.stats.compiled > 0
+    assert second.kernel.tracer.stats.compiled == 0
+    assert second.kernel.tracer.stats.cache_hits > 0
+    assert second.kernel.specializer.stats.deopts > 0
+    assert calls == []
+    assert _digest(second) == _digest(first)
+
+
+@pytest.mark.tier_up_at_once
+def test_shared_cache_keeps_no_image_alive():
+    """The process-wide cache outlives images: once a node and the image
+    it booted from are dropped, the image, its task images and its
+    trampoline pool are freed while the cache keeps the traces."""
+    import gc
+    import weakref
+
+    from repro.toolchain.linker import link_image
+    cache = SuperblockCache()
+    image = link_image([("pushpop", _PUSH_POP),
+                        ("spin", _COUNTDOWN.format(count=250))])
+    node = SensorNode.from_image(image, block_cache=cache)
+    node.run()
+    assert node.finished
+    refs = [weakref.ref(image), weakref.ref(image.tasks[0]),
+            weakref.ref(image.pool)]
+    del node, image
+    gc.collect()
+    assert any(block.trap for group in cache.groups.values()
+               for block in group.values())
+    assert [ref() for ref in refs] == [None, None, None]
+
+
 # -- SREG liveness masks --------------------------------------------------------
 
 def test_sreg_effects_masks():

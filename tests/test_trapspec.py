@@ -23,7 +23,7 @@ from repro.avr.devices.radio import Radio
 from repro.avr.trace import TraceCompiler
 from repro.errors import LinkError
 from repro.experiments.extra_static import _workload_sources
-from repro.kernel import SensorNode
+from repro.kernel import KernelConfig, SensorNode
 from repro.kernel.translation import AccessClass
 from repro.net.network import Network
 from repro.rewriter.classify import PatchKind
@@ -166,6 +166,54 @@ def test_equal_fingerprints_with_different_trampolines_never_share(
         assert _digest(shared) == _digest(private)
     assert fingerprints[0] == fingerprints[1]
     assert max(cache.compile_counts.values()) == 1
+
+
+#: Three search tasks: every trap kind traces chain, and sharing a node
+#: with other tasks puts each task's region away from the defaults.
+_SEARCHES = [(f"s{index}", search_task_source(
+    nodes=20, searches=6, seed=0x1357 + 0x1111 * index))
+    for index in range(3)]
+
+
+@pytest.mark.tier_up_at_once
+@pytest.mark.parametrize("field, other, bakes", [
+    ("branch_trap_period", 64, lambda kinds: "BRANCH_BACKWARD" in kinds),
+    ("stack_margin", 8, lambda kinds: bool(kinds - {"BRANCH_BACKWARD"}))],
+    ids=["period", "margin"])
+def test_nodes_of_two_configs_share_what_both_compile_alike(
+        monkeypatch, field, other, bakes):
+    """Two kernel configs that boot one image share the image's traces
+    exactly where a trace bakes no constant they differ in.  The branch
+    period is baked only by a branch site, the stack margin only by a
+    region-bound one, so the node of the second config rebinds some of
+    the first one's traces and none that bakes its field (*bakes*, of
+    a trace's site kinds)."""
+    rebound = []
+    rebind = TraceCompiler._rebind
+
+    def spy(self, block, *rest):
+        rebound.append(block)
+        return rebind(self, block, *rest)
+
+    monkeypatch.setattr(TraceCompiler, "_rebind", spy)
+    cache = SuperblockCache()
+    for config in (KernelConfig(), KernelConfig(**{field: other})):
+        earlier = {id(block) for group in cache.groups.values()
+                   for block in group.values()}
+        rebound.clear()
+        shared = SensorNode.from_sources(_SEARCHES, config=config,
+                                         block_cache=cache)
+        shared.run(max_instructions=3_000_000)
+        private = SensorNode.from_sources(_SEARCHES, config=config,
+                                          block_cache=False)
+        private.run(max_instructions=3_000_000)
+        assert _digest(shared) == _digest(private)
+    # The first config's site-bearing traces the second one rebound; the
+    # leading item of every site's part of the key is its kind name.
+    kinds = [{site[0] for site in block.spec_key[0]}
+             for block in rebound if id(block) in earlier and block.trap]
+    assert kinds
+    assert not any(bakes(names) for names in kinds)
 
 
 # -- range checks of in-region sites ------------------------------------------
