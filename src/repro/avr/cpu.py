@@ -6,8 +6,9 @@ assumption III-A), so the hot loop is a dictionary-free closure call.
 
 Two execution modes share those thunks.  ``fuse=False`` steps them one
 instruction at a time: the stepwise oracle, which profiling also uses.
-``fuse=True`` (the default) dispatches *traces*: at first execution of a
-pc, :class:`~repro.avr.trace.TraceCompiler` compiles the block starting
+``fuse=True`` (the default) dispatches *traces*: once a pc is hot (its
+``trace.TIER_UP``-th dispatch; a colder one steps),
+:class:`~repro.avr.trace.TraceCompiler` compiles the block starting
 there, plus the blocks its direct branches chain into, into one
 compiled Python function (see :mod:`repro.avr.trace`).  Instruction
 semantics are written twice, once per mode: the closures of
@@ -190,11 +191,12 @@ _GLOBAL_BLOCK_CACHE = SuperblockCache()
 # -- precomputed SREG tables for fused code ------------------------------------
 #
 # Trace members replace the branchy flag computations of the
-# per-instruction closures with one table index.  Every table is built
-# from the same _flags_* helpers the closures use, so the two execution
-# modes cannot disagree.  The 64K add/sub tables are built lazily on the
-# first fused ADD/SUB; the 256-entry tables are cheap enough to build at
-# import.
+# per-instruction closures with one table index.  The add/sub/logic
+# tables come from the _flags_* helpers the closures call; the NEG,
+# INC/DEC and shift closures compute flags longhand, which the helpers
+# below restate (a test checks every template against its closure).
+# The 64K add/sub tables are built lazily on the first fused ADD/SUB;
+# the 256-entry tables are cheap enough to build at import.
 
 def _inc_dec_flags(res: int, overflow_at: int) -> int:
     f = 0
@@ -741,13 +743,12 @@ class AvrCpu(SimClock):
         Site-specific tables are bound into *ns* under names derived
         from *uid*.
 
-        Returns ``(effect_lines, flag_lines, cycles, touches_sreg,
-        preds)``: the register/memory effect, the (separable) SREG
-        update, the cycle cost, whether any line touches ``sr``, and a
-        dict of flag-bit -> predicate expression valid *after* the
-        effect lines — used by traces to test a branch condition
-        directly on the result and defer (or elide) the flag
-        computation.
+        Returns ``(effect_lines, flag_lines, cycles, reads, preds)``:
+        the register/memory effect, the (separable) SREG update, the
+        cycle cost, the SREG bits the lines read (C for ADC and ROR,
+        C|Z for SBC, CPC and SBCI, T for BLD, else 0), and a dict of
+        flag-bit -> predicate expression valid *after* the effect lines
+        (the trace compiler's strip rule reads the last two).
         """
         m = ins.mnemonic
         ops = ins.operands
@@ -759,13 +760,13 @@ class AvrCpu(SimClock):
                 return ([f"a = r[{d}]; b = r[{rr}]",
                          f"r[{d}] = (a + b) & 0xFF"],
                         [f"sr = (sr & ~{_ARITH}) | t{uid}[(a << 8) | b]"],
-                        1, True, preds)
+                        1, 0, preds)
             ns[f"u{uid}"] = _add_table(1)
             return ([f"a = r[{d}]; b = r[{rr}]; cin = sr & 1",
                      f"r[{d}] = (a + b + cin) & 0xFF"],
                     [f"sr = (sr & ~{_ARITH}) | "
                      f"(u{uid} if cin else t{uid})[(a << 8) | b]"],
-                    1, True, preds)
+                    1, C, preds)
         if m in ("SUB", "CP"):
             d, rr = ops
             ns[f"t{uid}"] = _sub_table(0)
@@ -778,7 +779,7 @@ class AvrCpu(SimClock):
                 preds = {Z: "a == b", N: "(a - b) & 0x80", C: "b > a"}
             return (effect,
                     [f"sr = (sr & ~{_ARITH}) | t{uid}[(a << 8) | b]"],
-                    1, True, preds)
+                    1, 0, preds)
         if m in ("SBC", "CPC"):
             d, rr = ops
             ns[f"t{uid}"] = _sub_table(0)
@@ -791,21 +792,21 @@ class AvrCpu(SimClock):
                     [f"f = (u{uid} if cin else t{uid})[(a << 8) | b]",
                      f"sr = (sr & ~{_ARITH}) | (f & ~{Z}) | "
                      f"(f & {Z} & sr)"],
-                    1, True, {})
+                    1, C | Z, {})
         if m in ("AND", "OR", "EOR"):
             d, rr = ops
             op = {"AND": "&", "OR": "|", "EOR": "^"}[m]
             return ([f"res = r[{d}] {op} r[{rr}]",
                      f"r[{d}] = res"],
                     [f"sr = (sr & ~{_LOGIC}) | lf[res]"],
-                    1, True, {Z: "not res", N: "res & 0x80"})
+                    1, 0, {Z: "not res", N: "res & 0x80"})
         if m == "MOV":
             d, rr = ops
-            return ([f"r[{d}] = r[{rr}]"], [], 1, False, {})
+            return ([f"r[{d}] = r[{rr}]"], [], 1, 0, {})
         if m == "MOVW":
             d, rr = ops
             return ([f"r[{d}] = r[{rr}]", f"r[{d + 1}] = r[{rr + 1}]"],
-                    [], 1, False, {})
+                    [], 1, 0, {})
         if m == "MUL":
             d, rr = ops
             return ([f"res = r[{d}] * r[{rr}]",
@@ -814,7 +815,7 @@ class AvrCpu(SimClock):
                     [f"f = {C} if res & 0x8000 else 0",
                      f"if res == 0: f |= {Z}",
                      f"sr = (sr & ~{C | Z}) | f"],
-                    2, True, {Z: "not res", C: "res & 0x8000"})
+                    2, 0, {Z: "not res", C: "res & 0x8000"})
         if m in ("SUBI", "CPI"):
             d, k = ops
             ns[f"t{uid}"] = _sub_row(k, 0)
@@ -827,7 +828,7 @@ class AvrCpu(SimClock):
                 preds = {Z: f"a == {k}", N: f"(a - {k}) & 0x80",
                          C: f"{k} > a"}
             return (effect, [f"sr = (sr & ~{_ARITH}) | t{uid}[a]"],
-                    1, True, preds)
+                    1, 0, preds)
         if m == "SBCI":
             d, k = ops
             ns[f"t{uid}"] = _sub_row(k, 0)
@@ -837,22 +838,22 @@ class AvrCpu(SimClock):
                     [f"f = (u{uid} if cin else t{uid})[a]",
                      f"sr = (sr & ~{_ARITH}) | (f & ~{Z}) | "
                      f"(f & {Z} & sr)"],
-                    1, True, {})
+                    1, C | Z, {})
         if m in ("ANDI", "ORI"):
             d, k = ops
             op = "&" if m == "ANDI" else "|"
             return ([f"res = r[{d}] {op} {k}",
                      f"r[{d}] = res"],
                     [f"sr = (sr & ~{_LOGIC}) | lf[res]"],
-                    1, True, {Z: "not res", N: "res & 0x80"})
+                    1, 0, {Z: "not res", N: "res & 0x80"})
         if m == "LDI":
             d, k = ops
-            return ([f"r[{d}] = {k}"], [], 1, False, {})
+            return ([f"r[{d}] = {k}"], [], 1, 0, {})
         if m in ("ADIW", "SBIW"):
             d, k = ops
             # Flag nibble per (res15, val15) quadrant, precomputed from
-            # the closure's V/C/Z/N/S logic (k is 1..63, so Z is only
-            # reachable in the quadrants listed).
+            # the closure's V/C/Z/N/S logic; Z (res == 0) is tested where
+            # it can hold, ``adiw rd, 0`` on a zero pair included.
             if m == "ADIW":
                 expr = f"(v + {k}) & 0xFFFF"
                 quad = [f"if res & 0x8000:",
@@ -862,7 +863,8 @@ class AvrCpu(SimClock):
                         f"    sr = (sr & ~{_SHIFT}) | "
                         f"({C | Z} if res == 0 else {C})",
                         f"else:",
-                        f"    sr = sr & ~{_SHIFT}"]
+                        f"    sr = (sr & ~{_SHIFT}) | "
+                        f"({Z} if res == 0 else 0)"]
                 carry = "(v & ~res) & 0x8000"
             else:
                 expr = f"(v - {k}) & 0xFFFF"
@@ -879,25 +881,25 @@ class AvrCpu(SimClock):
                      f"res = {expr}",
                      f"r[{d}] = res & 0xFF",
                      f"r[{d + 1}] = res >> 8"],
-                    quad, 2, True,
+                    quad, 2, 0,
                     {Z: "not res", N: "res & 0x8000", C: carry})
         if m == "COM":
             (d,) = ops
             return ([f"res = (~r[{d}]) & 0xFF",
                      f"r[{d}] = res"],
                     [f"sr = (sr & ~{_SHIFT}) | {C} | lf[res]"],
-                    1, True, {Z: "not res", N: "res & 0x80"})
+                    1, 0, {Z: "not res", N: "res & 0x80"})
         if m == "NEG":
             (d,) = ops
             return ([f"a = r[{d}]",
                      f"r[{d}] = (-a) & 0xFF"],
                     [f"sr = (sr & ~{_ARITH}) | negf[a]"],
-                    1, True, {Z: "not a", C: "a"})
+                    1, 0, {Z: "not a", C: "a"})
         if m == "SWAP":
             (d,) = ops
             return ([f"a = r[{d}]",
                      f"r[{d}] = ((a << 4) | (a >> 4)) & 0xFF"],
-                    [], 1, False, {})
+                    [], 1, 0, {})
         if m in ("INC", "DEC"):
             (d,) = ops
             delta = "+ 1" if m == "INC" else "- 1"
@@ -905,26 +907,26 @@ class AvrCpu(SimClock):
             return ([f"res = (r[{d}] {delta}) & 0xFF",
                      f"r[{d}] = res"],
                     [f"sr = (sr & ~{_LOGIC}) | {table}[res]"],
-                    1, True, {Z: "not res", N: "res & 0x80"})
+                    1, 0, {Z: "not res", N: "res & 0x80"})
         if m == "LSR":
             (d,) = ops
             return ([f"a = r[{d}]",
                      f"r[{d}] = a >> 1"],
                     [f"sr = (sr & ~{_SHIFT}) | lsrf[a]"],
-                    1, True, {C: "a & 1", Z: "a < 2"})
+                    1, 0, {C: "a & 1", Z: "a < 2"})
         if m == "ASR":
             (d,) = ops
             return ([f"a = r[{d}]",
                      f"r[{d}] = (a >> 1) | (a & 0x80)"],
                     [f"sr = (sr & ~{_SHIFT}) | asrf[a]"],
-                    1, True, {C: "a & 1", Z: "a < 2"})
+                    1, 0, {C: "a & 1", Z: "a < 2"})
         if m == "ROR":
             (d,) = ops
             return ([f"a = r[{d}]; cin = sr & 1",
                      f"r[{d}] = (a >> 1) | (cin << 7)"],
                     [f"sr = (sr & ~{_SHIFT}) | "
                      f"(rorf1 if cin else rorf0)[a]"],
-                    1, True, {C: "a & 1"})
+                    1, C, {C: "a & 1"})
         if m in ("LDS", "STS"):
             d, k = ops
             # Static SRAM only: I/O, SP and SREG addresses keep their
@@ -932,7 +934,7 @@ class AvrCpu(SimClock):
             if ioports.RAM_START <= k < self.mem.size:
                 line = f"mem[{k}] = r[{d}]" if m == "STS" \
                     else f"r[{d}] = mem[{k}]"
-                return ([line], [], 2, False, {})
+                return ([line], [], 2, 0, {})
             return None
         if m == "LPM":
             d, mode = ops
@@ -942,14 +944,14 @@ class AvrCpu(SimClock):
                 lines += ["z = (z + 1) & 0xFFFF",
                           "r[30] = z & 0xFF",
                           "r[31] = z >> 8"]
-            return (lines, [], 3, False, {})
+            return (lines, [], 3, 0, {})
         if m in ("BSET", "BCLR"):
             (s,) = ops
             if s == 7:  # SEI/CLI: interrupt delivery is boundary-checked
                 return None
             mask = 1 << s
             line = f"sr |= {mask}" if m == "BSET" else f"sr &= ~{mask}"
-            return ([], [line], 1, True, {})
+            return ([], [line], 1, 0, {})
         if m == "BLD":
             d, b = ops
             mask = 1 << b
@@ -957,7 +959,7 @@ class AvrCpu(SimClock):
                      f"    r[{d}] |= {mask}",
                      "else:",
                      f"    r[{d}] &= ~{mask}"],
-                    [], 1, True, {})
+                    [], 1, T, {})
         if m == "BST":
             d, b = ops
             mask = 1 << b
@@ -966,9 +968,9 @@ class AvrCpu(SimClock):
                      f"    sr |= {T}",
                      "else:",
                      f"    sr &= ~{T}"],
-                    1, True, {})
+                    1, 0, {})
         if m in ("NOP", "WDR"):
-            return ([], [], 1, False, {})
+            return ([], [], 1, 0, {})
         return None
 
     def _build(self, ins: Instruction) -> Callable[[], None]:

@@ -25,17 +25,14 @@ compiled function, so a hot loop executes with locals-only state:
 * a backward-branch trap that targets its own block start is
   *strip-mined*: the iteration count to the next observable boundary is
   computed up front and the loop body runs that many times with no
-  per-iteration limit checks at all;
+  per-iteration limit checks at all.  When no member of such a loop
+  reads SREG, its last member's flag update runs only at the strip's
+  exits (the strip rule, :meth:`_Emitter._decide`); every other member
+  updates ``sr`` where it runs, as its stepwise closure does;
 * an idle poll loop is *fast-forwarded*: when an iteration of a loop
   that stores nothing left its registers and SREG unchanged and every
   port it read is stable (``AvrCpu.io_stable``), the iterations up to
-  the next observable boundary are skipped in closed form;
-* SREG liveness (per-mnemonic masks from
-  :mod:`repro.analysis.static.liveness`) elides flag computation that no
-  successor inside the trace can observe, and defers a branch-feeding
-  member's flags past the branch test — the test reads the result
-  predicate directly and the flag lines materialize only on trace exits
-  that did not kill them.
+  the next observable boundary are skipped in closed form.
 
 A trace may be a single block.  Its head may also end where no later
 block could: a *thunk* head ends in a terminator the chain cannot take
@@ -73,7 +70,6 @@ from dataclasses import dataclass
 from types import FunctionType
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..analysis.static.liveness import sreg_effects
 from ..errors import InvalidInstruction, MemoryFault
 from . import ioports
 from .cpu import (_ASR_TABLE, _DEC_TABLE, _INC_TABLE, _LOGIC_TABLE,
@@ -167,20 +163,17 @@ def _among(indices, total: int) -> Optional[str]:
 class _Member:
     """One fused instruction inside a trace node."""
 
-    __slots__ = ("effect", "flags", "cycles", "touches", "preds",
-                 "reads", "writes", "elided", "ins")
+    __slots__ = ("effect", "flags", "cycles", "reads", "preds", "touches",
+                 "ins")
 
-    def __init__(self, effect, flags, cycles, touches, preds, reads,
-                 writes, ins):
+    def __init__(self, effect, flags, cycles, reads, preds, ins):
         self.ins = ins          # the decoded instruction
         self.effect = effect    # register/memory effect lines
         self.flags = flags      # separable SREG update lines
         self.cycles = cycles
-        self.touches = touches  # any line references the sr local
+        self.reads = reads      # SREG bits the template reads
         self.preds = preds      # flag-bit mask -> predicate expression
-        self.reads = reads      # architectural SREG read mask
-        self.writes = writes    # architectural SREG write mask
-        self.elided = False     # flag lines dropped (dead inside node)
+        self.touches = bool(flags or reads)  # a line references sr
 
 
 class _Node:
@@ -188,8 +181,8 @@ class _Node:
 
     __slots__ = ("start", "members", "count", "cost", "kind", "facts",
                  "cont", "bit", "reg", "branch_if_set", "taken", "fall",
-                 "target", "jcycles", "nat_target", "strip", "deferred",
-                 "strip_elide", "kind_index", "step")
+                 "target", "jcycles", "nat_target", "strip", "strip_elide",
+                 "access", "kind_index", "step")
 
     def __init__(self, start, members):
         self.start = start
@@ -210,8 +203,8 @@ class _Node:
         self.jcycles = 0        # terminator cycles when taken
         self.nat_target = None
         self.strip = False       # self-looping branch trap: strip-mine
-        self.deferred = False    # last member's flags deferred past test
-        self.strip_elide = False
+        self.strip_elide = False  # last member's flags at strip exits
+        self.access = None       # direct_access() of a MEM_DIRECT site
         self.kind_index = None   # index into the per-kind count locals
         self.step = None         # (cycles, kernel cycles) of the arm
                                  # that continues to ``cont``
@@ -464,11 +457,8 @@ class TraceCompiler:
                     node.kind = "thunk"
                     node.target = ins.address
                 return node
-            effect, flags, cycles, touches, preds = parts
-            reads, writes = sreg_effects(ins.mnemonic, ins.operands)
             uid[0] += 1
-            members.append(_Member(effect, flags, cycles, touches,
-                                   preds, reads, writes, ins))
+            members.append(_Member(*parts, ins))
             cur = ins.next_address
         if not head:
             return None
@@ -554,8 +544,10 @@ class TraceCompiler:
             return node
         if name == "MEM_DIRECT":
             from ..kernel.specialize import direct_access
-            if facts.params[2] in _SHADOWED_IO or direct_access(
-                    facts.params, facts.region, facts.config) is None:
+            if facts.params[2] not in _SHADOWED_IO:
+                node.access = direct_access(facts.params, facts.region,
+                                            facts.config)
+            if node.access is None:
                 return None  # SP/SREG, or faults at this geometry
             node.cont = resume
             return node
@@ -608,7 +600,6 @@ class _Emitter:
         every register the trace writes (member clobbers and ``LDS``
         destinations), *ports* every I/O address it loads.
         """
-        from ..kernel.specialize import direct_access
         from ..kernel.translation import AccessClass
         regs: Set[int] = set()
         ports: Set[int] = set()
@@ -627,9 +618,7 @@ class _Emitter:
                 if mnemonic == "STS":
                     return None
                 regs.add(reg)
-                access = direct_access(node.facts.params,
-                                       node.facts.region, node.facts.config)
-                if access[0] is AccessClass.IO:
+                if node.access[0] is AccessClass.IO:
                     ports.add(address)
             elif name != "BRANCH_BACKWARD":
                 return None
@@ -711,115 +700,54 @@ class _Emitter:
             lines.append("qs = sr")
         return lines
 
-    # -- liveness decisions -------------------------------------------------------
+    # -- the strip rule -----------------------------------------------------------
 
     @staticmethod
     def _decide(nodes) -> None:
-        """Per-node flag-deferral and strip-elision decisions, then the
-        intra-node dead-flag elision pass."""
+        """The strip rule: a strip loop none of whose members reads SREG
+        runs its last member's flag update only at the strip's exits
+        (``strip_elide``).  A conditional strip also needs that member's
+        predicate for the tested bit, which the loop test reads instead;
+        an unconditional one needs no earlier member to write flags."""
         for node in nodes:
             members = node.members
-            last = members[-1] if members else None
-            conditional = (node.kind == "brcond"
-                           or (node.kind == "trap" and node.facts
-                               .kind.name == "BRANCH_BACKWARD"))
-            if node.strip and last is not None and last.flags \
-                    and all(m.reads == 0 for m in members):
-                if node.bit is None:
-                    node.strip_elide = all(not m.flags
-                                           for m in members[:-1])
-                else:
-                    node.strip_elide = (1 << node.bit) in last.preds
-            elif conditional and node.bit is not None \
-                    and last is not None and last.flags \
-                    and (1 << node.bit) in last.preds and not node.strip:
-                node.deferred = True
-            # Intra-node elision: a member's flag lines are dead when a
-            # later member in the same node rewrites every bit before
-            # anything (including the node's own test and every exit,
-            # conservatively live-out = all flags) can read them.  The
-            # deferred / strip-elided last member stays un-elided — its
-            # lines move to the exit materializations — but its writes
-            # still kill.
-            excluded = last if (node.deferred or node.strip_elide) \
-                else None
-            live = 0xFF
-            for member in reversed(members):
-                member.elided = False
-                if member is not excluded and member.flags \
-                        and not (member.writes & live):
-                    member.elided = True
-                    live |= member.reads
-                else:
-                    live = (live & ~member.writes) | member.reads
+            if not (node.strip and members and members[-1].flags
+                    and not any(m.reads for m in members)):
+                continue
+            if node.bit is None:
+                node.strip_elide = not any(m.flags for m in members[:-1])
+            else:
+                node.strip_elide = (1 << node.bit) in members[-1].preds
 
-    def _uses_sr(self, nodes) -> bool:
+    @staticmethod
+    def _uses_sr(nodes) -> bool:
+        """Whether the trace shadows SREG: a member uses ``sr``, or a
+        node tests an SREG bit."""
         for node in nodes:
             if any(m.touches for m in node.members):
                 return True
-            if node.kind == "brcond" and not node.deferred:
-                return True
-            if node.kind == "trap" and node.bit is not None \
-                    and not node.deferred and not node.strip_elide \
-                    and node.facts.kind.name == "BRANCH_BACKWARD":
+            if node.kind in ("brcond", "trap") and node.bit is not None:
                 return True
         return False
 
-    @staticmethod
-    def _safe_entry(node: _Node) -> int:
-        """Flag bits *node* is guaranteed to rewrite before anything can
-        observe them — a predecessor's deferred materialization of those
-        bits may be skipped on the continue edge into *node*.
-
-        A bit counts as killed once an inline member writes it, or once
-        the node's own deferred/strip-elided last member writes it (its
-        materialization runs on every exit, and continue edges apply
-        this same rule to the next node — sound by induction).  A bit is
-        observed by a member's architectural read or by a non-deferred
-        sr-based branch test.
-        """
-        read = 0
-        killed = 0
-        last = node.members[-1] if node.members else None
-        excluded_kills = node.deferred or node.strip_elide
-        for member in node.members:
-            read |= member.reads & ~killed
-            if not member.elided or (excluded_kills and member is last):
-                killed |= member.writes
-        tests_sr = ((node.kind == "brcond" and not node.deferred)
-                    or (node.kind == "trap" and node.bit is not None
-                        and node.facts.kind.name == "BRANCH_BACKWARD"
-                        and not node.deferred and not node.strip_elide))
-        if tests_sr:
-            read |= (1 << node.bit) & ~killed
-        return killed & ~read
-
     # -- shared emission helpers --------------------------------------------------
 
-    def _member_lines(self, node: _Node) -> List[str]:
+    @staticmethod
+    def _member_lines(node: _Node) -> List[str]:
+        """Every member's effect and flag lines, in order, but for the
+        flag lines the strip rule moves to a strip's exits."""
         lines: List[str] = []
-        last = node.members[-1] if node.members else None
-        skip_last = node.deferred or node.strip_elide
+        moved = node.members[-1] if node.strip_elide else None
         for member in node.members:
             lines += member.effect
-            if member.elided:
-                continue
-            if skip_last and member is last:
-                continue
-            lines += member.flags
+            if member is not moved:
+                lines += member.flags
         return lines
-
-    def _pending(self, node: _Node):
-        """(materialization lines, written mask) for a deferring node."""
-        if not node.deferred:
-            return None
-        last = node.members[-1]
-        return (last.flags, last.writes)
 
     def _exit(self, pc: int, check: bool = False, mats=(),
               slow=None) -> List[str]:
-        """An exit: materialize this exit's deferred flags, then leave
-        the trace loop for the shared epilogue (:meth:`_epilogue`) with
+        """An exit: run *mats* (a strip exit's moved flag lines), then
+        leave the trace loop for the shared epilogue (:meth:`_epilogue`) with
         ``xk`` naming what this exit resumes with: the pc, whether the
         branch counter may be spent (*check*: at ``tb <= 0`` it resets
         and enters the scheduler) and the *slow* dispatch to run after
@@ -871,95 +799,81 @@ class _Emitter:
             lines += ([f"if {among}:"] + _ind(tail)) if among else tail
         return lines
 
-    def _seam(self, target: _Node, pending) -> List[str]:
+    def _seam(self, target: _Node) -> List[str]:
         """Dispatch-boundary check before re-entering *target* inside
         the trace: replicates ``_run_fused``'s event/limit gate, exiting
         when the next block may not start."""
-        mats = pending[0] if pending else ()
-        lines = [f"if cy >= da or n + {target.count + 1} > mi "
+        return ([f"if cy >= da or n + {target.count + 1} > mi "
                  f"or cy + {target.cost} >= mc:"]
-        lines += _ind(self._exit(target.start, mats=mats))
-        if pending and pending[1] & ~self._safe_entry(target):
-            lines += pending[0]
-        return lines
+                + _ind(self._exit(target.start)))
 
-    def _backedge(self, pending, node: _Node, step) -> List[str]:
+    def _backedge(self, node: _Node, step) -> List[str]:
         """Close the loop from *node*, whose looping arm costs *step*."""
-        lines = self._seam(self.nodes[0], pending)
+        lines = self._seam(self.nodes[0])
         if self.idle is not None:
-            if pending and not pending[1] & ~self._safe_entry(
-                    self.nodes[0]):
-                lines += pending[0]  # the skip compares SREG in full
             lines += self._idle_skip(node, step)
         return lines + ["continue"]
 
     # -- per-node bodies ----------------------------------------------------------
 
-    def _node_body(self, node: _Node):
+    def _node_body(self, node: _Node) -> List[str]:
         if node.kind in ("brcond", "skip"):
             return self._two_way_body(node)
         if node.kind == "jmp":
             return self._jmp_body(node)
         if node.kind == "thunk":
-            return self._thunk_body(node), None
+            return self._thunk_body(node)
         if node.kind == "cut":
-            return (self._trap_prologue(node)
-                    + self._exit(node.target)), None
+            return self._trap_prologue(node) + self._exit(node.target)
         name = node.facts.kind.name
         if name == "BRANCH_BACKWARD":
             if node.strip:
-                return self._strip_body(node), None
+                return self._strip_body(node)
             return self._branch_trap_body(node)
         if name == "MEM_INDIRECT":
-            return self._mem_indirect_body(node), None
+            return self._mem_indirect_body(node)
         if name == "MEM_DIRECT":
-            return self._mem_direct_body(node), None
+            return self._mem_direct_body(node)
         if name == "STACK_PUSH":
-            return self._stack_push_body(node), None
+            return self._stack_push_body(node)
         if name == "STACK_POP":
-            return self._stack_pop_body(node), None
-        return self._call_direct_body(node), None
+            return self._stack_pop_body(node)
+        return self._call_direct_body(node)
 
     @staticmethod
-    def _taken_test(node: _Node, flags: Optional[str] = None) -> str:
+    def _taken_test(node: _Node, flags: str = "sr") -> str:
         """The taken condition of a two-way node: a register bit for a
-        skip, else an SREG bit.  *flags* names the SREG holder on the
-        deopt path; inside the trace (None) a deferring node tests its
-        result predicate instead of ``sr``."""
+        skip, else an SREG bit of *flags*, the SREG holder (the deopt
+        path may name ``cpu.sreg``)."""
         if node.kind == "skip":
             expr = f"r[{node.reg}] & {1 << node.bit}"
-        elif flags is None and node.deferred:
-            expr = node.members[-1].preds[1 << node.bit]
         else:
-            expr = f"{flags or 'sr'} & {1 << node.bit}"
+            expr = f"{flags} & {1 << node.bit}"
         return expr if node.branch_if_set else f"not ({expr})"
 
-    def _two_way_body(self, node: _Node):
+    def _two_way_body(self, node: _Node) -> List[str]:
         """A native conditional branch or an SBRS/SBRC skip: the taken
         arm exits (or closes the loop), the fall-through continues."""
         lines = self._member_lines(node)
-        pending = self._pending(node)
-        test = self._taken_test(node)
-        mats = pending[0] if pending else ()
         lines.append(f"n += {node.count + 1}")
         taken_cycles = node.cost + node.jcycles
         taken = [f"cy += {taken_cycles}"]
         if node.taken == self.head_addr:
-            taken += self._backedge(pending, node, (taken_cycles, 0))
+            taken += self._backedge(node, (taken_cycles, 0))
         else:
-            taken += self._exit(node.taken, mats=mats)
-        lines.append(f"if {test}:")
+            taken += self._exit(node.taken)
+        lines.append(f"if {self._taken_test(node)}:")
         lines += _ind(taken)
         node.step = (node.cost + 1, 0)
         lines.append(f"cy += {node.step[0]}")
-        return lines, pending
+        return lines
 
-    def _jmp_body(self, node: _Node):
+    def _jmp_body(self, node: _Node) -> List[str]:
         node.step = (node.cost + node.jcycles, 0)
         lines = self._member_lines(node)
         lines += [f"cy += {node.step[0]}",
                   f"n += {node.count + 1}"]
-        return lines, None
+        return lines
 
     def _trap_prologue(self, node: _Node) -> List[str]:
         """Members plus their accounting: member cycles land before the
@@ -1057,11 +971,9 @@ class _Emitter:
         return lines
 
     def _mem_direct_body(self, node: _Node) -> List[str]:
-        from ..kernel.specialize import direct_access
         from ..kernel.translation import AccessClass
         facts = node.facts
-        access, effect, charge = direct_access(facts.params, facts.region,
-                                               facts.config)
+        access, effect, charge = node.access
         lines = self._trap_prologue(node)
         if access is AccessClass.IO and node.cost:
             # An event due by the end of the members fires before the
@@ -1149,7 +1061,7 @@ class _Emitter:
         lines += _ind(self._slow_exit(facts))
         return lines
 
-    def _branch_trap_body(self, node: _Node):
+    def _branch_trap_body(self, node: _Node) -> List[str]:
         from ..kernel import costs
         facts = node.facts
         inline = costs.BRANCH_COUNTER_INLINE
@@ -1160,33 +1072,22 @@ class _Emitter:
                   "tb -= 1"]
         taken_step = (node.cost + 2 + inline, 2 + inline)
         taken = [f"cy += {taken_step[0]}", f"kc += {taken_step[1]}"]
-        if node.bit is None:
-            lines += taken
-            if node.nat_target == self.head_addr:
-                lines.append("if tb <= 0:")
-                lines += _ind(self._exit(node.nat_target, check=True))
-                lines += self._backedge(None, node, taken_step)
-            else:
-                lines += self._exit(node.nat_target, check=True)
-            return lines, None
-        pending = self._pending(node)
-        test = self._taken_test(node)
-        mats = pending[0] if pending else ()
         if node.nat_target == self.head_addr:
             taken.append("if tb <= 0:")
-            taken += _ind(self._exit(node.nat_target, check=True,
-                                     mats=mats))
-            taken += self._backedge(pending, node, taken_step)
+            taken += _ind(self._exit(node.nat_target, check=True))
+            taken += self._backedge(node, taken_step)
         else:
-            taken += self._exit(node.nat_target, check=True, mats=mats)
-        lines.append(f"if {test}:")
+            taken += self._exit(node.nat_target, check=True)
+        if node.bit is None:
+            return lines + taken
+        lines.append(f"if {self._taken_test(node)}:")
         lines += _ind(taken)
         node.step = (node.cost + 1 + inline, 1 + inline)
         lines += [f"cy += {node.step[0]}",
                   f"kc += {node.step[1]}",
                   "if tb <= 0:"]
-        lines += _ind(self._exit(resume, check=True, mats=mats))
-        return lines, pending
+        lines += _ind(self._exit(resume, check=True))
+        return lines
 
     def _strip_body(self, node: _Node) -> List[str]:
         """Strip-mined self-looping backward-branch trap.
@@ -1334,18 +1235,15 @@ class _Emitter:
             body.append("xk = -1")  # no exit yet: see _strip_body
         body.append("while True:")
         inner: List[str] = []
-        pending = None
         for i, node in enumerate(self.nodes):
             if i > 0:
-                inner += self._seam(node, pending)
-            node_lines, pending = self._node_body(node)
-            inner += node_lines
+                inner += self._seam(node)
+            inner += self._node_body(node)
         if self.tail == ("backedge",):
             last = self.nodes[-1]
-            inner += self._backedge(pending, last, last.step)
+            inner += self._backedge(last, last.step)
         elif self.tail[0] == "exit":
-            mats = pending[0] if pending else ()
-            inner += self._exit(self.tail[1], mats=mats)
+            inner += self._exit(self.tail[1])
         # ("end",): the last node resolved every arm internally.
         if self.skips:
             inner = self._snapshot() + inner

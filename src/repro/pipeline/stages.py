@@ -231,7 +231,7 @@ class SimulateStage(Stage):
     name = "simulate"
     #: Bumped whenever the JIT counters the report carries change for
     #: the same input, so stored verdicts never serve stale counters.
-    version = 6
+    version = 7
 
     def run(self, pipeline, request, ctx):
         node = ctx["precompile"]

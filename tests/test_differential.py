@@ -13,8 +13,9 @@ Every generated program additionally runs in both execution modes —
 traced and per-instruction — and the two must agree on all
 architectural state, cycle for cycle.  A third generator, the loop
 family, reaches every trace shape (nested counted loops across the
-branch counter, one-block self-loops, ``rcall``/``ret`` and ``break``
-heads, stack and memory traffic, runs cut at the member cap) and checks
+branch counter, one-block self-loops ending on Z, C or N, forward
+branches on every SREG bit, ``rcall``/``ret`` and ``break`` heads,
+stack and memory traffic, runs cut at the member cap) and checks
 the two modes against each other at every stop of an instruction-limit
 sweep, bare-metal and under the kernel.  The region-edge family does the
 same for pointer accesses on both sides of every heap and stack edge,
@@ -189,17 +190,31 @@ def _traced(make, tier_up: int, **options):
             for threshold in (1, tier_up)]
 
 
-#: SREG readers and writers on top of the straight-line soup, so flag
-#: elision and deferral meet carries and the Z-chain of CPC/SBC.
+#: SREG readers and writers on top of the straight-line soup, so the
+#: strip rule meets carries, the Z-chain of CPC/SBC/SBCI and the T
+#: flag, and every SREG bit a branch may test gets written.  ADIW/SBIW
+#: work on Y or Z, which the family leaves free.
 _LOOP_ALU = _ALU_TEMPLATES + [
     "sbc r{a}, r{b}",
     "cp r{a}, r{b}",
     "cpc r{a}, r{b}",
     "mul r{a}, r{b}",
     "subi r{a}, {k}",
+    "sbci r{a}, {k}",
     "cpi r{a}, {k}",
     "andi r{a}, {k}",
+    "ori r{a}, {k}",
+    "adiw r{w}, {q}",
+    "sbiw r{w}, {q}",
+    "bst r{a}, {bit}",
+    "bld r{a}, {bit}",
+    "bset {s}",
+    "bclr {s}",
 ]
+
+#: SREG bits BSET/BCLR write and BRBS/BRBC test: all but I (SEI and
+#: CLI end a block).
+_sreg_bits = st.integers(0, 6)
 
 _cells = st.integers(0, 14)
 
@@ -210,8 +225,10 @@ def _alu_run(draw, low: int = 1, high: int = 6):
     lines = []
     for _ in range(draw(st.integers(low, high))):
         template = draw(st.sampled_from(_LOOP_ALU))
-        lines.append(template.format(a=draw(_regs), b=draw(_regs),
-                                     k=draw(st.integers(0, 255))))
+        lines.append(template.format(
+            a=draw(_regs), b=draw(_regs), k=draw(st.integers(0, 255)),
+            w=draw(st.sampled_from([28, 30])), q=draw(st.integers(0, 63)),
+            bit=draw(st.integers(0, 7)), s=draw(_sreg_bits)))
     return lines
 
 
@@ -252,8 +269,10 @@ def loop_program(draw):
     cap to run it under.
 
     Registers: r16..r23 data, r24/r25 loop counters, X for pointer
-    traffic, r0/r1 written by MUL.  Every loop counts down to zero, and
-    every call returns, so the program always reaches its ``break``.
+    traffic, Y and Z for ADIW/SBIW, r0/r1 written by MUL.  Every loop
+    counts down to its end (zero, or past it for the C and N exits),
+    and every call returns, so the program always reaches its
+    ``break``.
     """
     lines = [".bss cells, 16", "main:"]
     lines += [f"    ldi r{reg}, {draw(st.integers(0, 255))}"
@@ -261,7 +280,8 @@ def loop_program(draw):
     helpers = []
     for index in range(draw(st.integers(1, 5))):
         kind = draw(st.sampled_from(
-            ["run", "long", "self", "nested", "call"]))
+            ["run", "long", "self", "carry", "sign", "test", "nested",
+             "call"]))
         if kind == "run":
             body = draw(_body())
         elif kind == "long":  # past the default 48-member cap
@@ -270,6 +290,21 @@ def loop_program(draw):
             body = [f"ldi r24, {draw(st.integers(0, 255))}",
                     f"self{index}:"] + draw(_alu_run(0, 3)) \
                 + ["dec r24", f"brne self{index}"]
+        elif kind == "carry":  # a self-loop that ends on C
+            body = [f"ldi r24, {draw(st.integers(0, 255))}",
+                    f"self{index}:"] + draw(_alu_run(0, 3)) \
+                + ["subi r24, 1", f"brcc self{index}"]
+        elif kind == "sign":  # a self-loop that ends on N
+            body = [f"ldi r24, {draw(st.integers(0, 127))}",
+                    f"self{index}:"] + draw(_alu_run(0, 3)) \
+                + ["dec r24", f"brpl self{index}"]
+        elif kind == "test":  # a forward branch on any SREG bit
+            test = draw(st.sampled_from(["brbs", "brbc"]))
+            body = [f"ldi r24, {draw(st.integers(1, 40))}",
+                    f"test{index}:"] + draw(_alu_run(1, 3)) \
+                + [f"{test} {draw(_sreg_bits)}, skip{index}"] \
+                + draw(_alu_run(1, 1)) + [f"skip{index}:"] \
+                + draw(_alu_run(0, 2)) + ["dec r24", f"brne test{index}"]
         elif kind == "nested":  # trip counts cross the branch counter
             body = [f"ldi r25, {draw(st.integers(1, 12))}",
                     f"outer{index}:",

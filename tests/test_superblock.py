@@ -2,7 +2,8 @@
 
 The fused interpreter compiles instruction runs into traces (single
 closures); these tests pin down the properties that make that
-safe — identical architectural state in both modes, exact stop
+safe — identical architectural state in both modes, every member
+template computing what its stepwise closure does, exact stop
 semantics, cache invalidation on every path that re-burns flash or
 extends the trap region, and device alarms that land mid-block being
 serviced before the next dispatch.
@@ -10,9 +11,12 @@ serviced before the next dispatch.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from repro.avr import AvrCpu, Flash, assemble, ioports, trace
+from repro.avr import AvrCpu, Flash, Instruction, assemble, ioports, trace
+from repro.avr.cpu import C, T, Z
 from repro.avr.devices import Timer3
 from repro.avr.trace import TraceCompiler
 from repro.errors import MemoryFault
@@ -95,6 +99,88 @@ def test_fused_state_identical_to_stepwise():
         assert _cached_blocks(fused) > 0  # traces ran, not just step()
         assert fused.halted and stepwise.halted
         assert _state(fused) == _state(stepwise)
+
+
+# -- member templates against their closures ------------------------------------
+
+#: Starting SREGs: clear, the carry-chain inputs alone and together, T
+#: alone, every flag but I, and all eight.
+_SREGS = (0x00, C, Z, C | Z, T, 0x7F, 0xFF)
+
+
+def _member_cases():
+    """``(instruction, register assignments)`` for every template
+    family: whole operand ranges where they are small, pairs around
+    the 16-bit wrap points, a seeded sample of two-register operands."""
+    every = [{16: v} for v in range(256)]
+    for m in ("COM", "NEG", "SWAP", "INC", "DEC", "LSR", "ASR", "ROR"):
+        yield Instruction(m, (16,), 0), every
+    for m in ("SUBI", "SBCI", "CPI", "ANDI", "ORI"):
+        for k in (0, 1, 0x0F, 0x10, 0x7F, 0x80, 0xFF):
+            yield Instruction(m, (16, k), 0), every
+    words = sorted({(base + d) & 0xFFFF for base in (0x0000, 0x8000, 0xFFFF)
+                    for d in range(-64, 65)})
+    pairs = [{24: w & 0xFF, 25: w >> 8} for w in words]
+    for m in ("ADIW", "SBIW"):
+        for k in (0, 1, 17, 63):
+            yield Instruction(m, (24, k), 0), pairs
+    for m in ("BST", "BLD"):
+        for b in range(8):
+            yield Instruction(m, (16, b), 0), [{16: v} for v in
+                                               (0x00, 0xFF, 0x55, 0xAA)]
+    for m in ("BSET", "BCLR"):
+        for s in range(7):  # 7 (SEI/CLI) ends a block: no template
+            yield Instruction(m, (s,), 0), [{}]
+    rng = random.Random(2010)
+    sample = [{r: rng.randrange(256) for r in range(16, 20)}
+              for _ in range(256)]
+    for m in ("ADD", "ADC", "SUB", "SBC", "CP", "CPC", "AND", "OR", "EOR",
+              "MOV", "MUL"):
+        for operands in ((16, 17), (17, 17)):
+            yield Instruction(m, operands, 0), sample
+    yield Instruction("MOVW", (16, 18), 0), sample
+
+
+def _template(cpu: AvrCpu, ins: Instruction):
+    """*ins*'s member template as a function on *cpu*: the effect lines,
+    then the flag lines, on ``cpu.sreg``.  Returns the function, the
+    template's cycles and its predicates' flag bits; the function
+    returns the predicates' values, which hold after the effect
+    lines."""
+    ns = trace._base_ns(cpu)
+    effect, flags, cycles, _, preds = cpu._member_parts(ins, ns, 0)
+    body = ["sr = cpu.sreg", *effect, f"p = [{', '.join(preds.values())}]",
+            *flags, "cpu.sreg = sr", "return p"]
+    exec("def run():\n" + "\n".join("    " + line for line in body), ns)
+    return ns["run"], cycles, list(preds)
+
+
+def test_every_member_template_matches_its_closure():
+    """Registers, SREG, cycles and every predicate of each template
+    equal its stepwise closure's, from every starting SREG."""
+    cpu = AvrCpu(Flash())
+    base = bytes(range(0x40, 0x60))
+    mismatches = []
+    for ins, assignments in _member_cases():
+        template, cycles, bits = _template(cpu, ins)
+        closure = cpu._build(ins)
+        for regs in assignments:
+            for sreg in _SREGS:
+                cpu.r[:] = base
+                for reg, value in regs.items():
+                    cpu.r[reg] = value
+                start = bytes(cpu.r)
+                cpu.sreg, cpu.cycles = sreg, 0
+                closure()
+                want = (bytes(cpu.r), cpu.sreg, cpu.cycles)
+                cpu.r[:], cpu.sreg = start, sreg
+                preds = template()
+                if (bytes(cpu.r), cpu.sreg, cycles) != want or any(
+                        bool(p) != bool(want[1] & bit)
+                        for p, bit in zip(preds, bits)):
+                    mismatches.append((ins.mnemonic, ins.operands, regs,
+                                       hex(sreg)))
+    assert mismatches == []
 
 
 def test_fused_max_cycles_stop_is_exact():

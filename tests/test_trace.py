@@ -15,16 +15,17 @@ Seven angles:
 * the exit protocol — every exit of every trace shape breaks to one
   epilogue, the only place a trace writes its state back;
 * tier-up — cold heads step and only hot ones compile, with the same
-  outcome; heat gates compiles, never binds, lives per node on a
-  private cache, is bounded on the shared one, and a head stays hot;
-* the SREG-liveness masks the flag-elision pass is built on.
+  outcome and exactly the JIT counters pinned for the cold bundle;
+  heat gates compiles, never binds, lives per node on a private cache,
+  is bounded on the shared one, and a head stays hot;
+* the strip rule — a strip loop whose members read no SREG keeps its
+  last member's flag update out of the hot loop.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis.static import ALL_FLAGS, sreg_effects
 from repro.avr import cpu as avr_cpu, ioports, trace
 from repro.avr.cpu import SuperblockCache
 from repro.experiments.extra_static import _workload_sources
@@ -710,27 +711,7 @@ def test_shared_cache_keeps_no_image_alive():
     assert [ref() for ref in refs] == [None, None, None]
 
 
-# -- SREG liveness masks --------------------------------------------------------
-
-def test_sreg_effects_masks():
-    C, Z, N, V, S, H, T, I = (1 << b for b in range(8))
-    arith = C | Z | N | V | S | H
-    assert sreg_effects("ADD") == (0, arith)
-    assert sreg_effects("ADC") == (C, arith)
-    assert sreg_effects("SBC") == (C | Z, arith)
-    assert sreg_effects("BRBS", (1, -3)) == (Z, 0)
-    assert sreg_effects("BSET", (7,)) == (0, I)
-    assert sreg_effects("OUT", (0x3F, 16)) == (0, ALL_FLAGS)
-    assert sreg_effects("IN", (16, 0x3F)) == (ALL_FLAGS, 0)
-    assert sreg_effects("RET") == (ALL_FLAGS, 0)
-    assert sreg_effects("MYSTERY_OP") == (ALL_FLAGS, 0)  # conservative
-    assert sreg_effects("LDI") == (0, 0)
-
-
-def test_ret_leaks_all_flags_to_the_caller():
-    reads, writes = sreg_effects("RET")
-    assert reads == ALL_FLAGS and writes == 0
-
+# -- the strip rule -------------------------------------------------------------
 
 def test_strip_elision_keeps_flag_tables_out_of_the_hot_loop(
         emitted_traces):
@@ -793,6 +774,12 @@ def test_tier_up_changes_what_compiles_not_what_runs(monkeypatch):
     lazy, every = default["jit"]["tracer"], eager["jit"]["tracer"]
     assert 0 < lazy["compiled"] < every["compiled"]
     assert lazy["stepped"] > 0 and every["stepped"] == 0
+    # What the trace compiler compiles and emits for this bundle, pinned:
+    # a change that moves a count on purpose updates it and says why.
+    assert default["jit"] == {
+        "specializer": {"compiled": 68, "deopts": 2},
+        "tracer": {"compiled": 22, "lines": 2172, "cache_hits": 0,
+                   "stepped": 4731}}
 
 
 def test_shared_cache_binds_a_hot_head_on_first_dispatch():
